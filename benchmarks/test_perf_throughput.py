@@ -13,7 +13,7 @@ gates each new record against the trajectory in CI.
 The backend sweep earns its keep twice over: every run carries a
 ``backend`` tag and a measured ``speedup_vs_reference`` (the CI speedup
 gate reads the per-backend geomean), and the benchmark asserts the
-fast backends' :meth:`~repro.sim.stats.SimStats.signature` equals the
+staged backend's :meth:`~repro.sim.stats.SimStats.signature` equals the
 reference backend's bit-for-bit on the full bench suite — the largest
 identity check in the repo, riding along with every bench run.
 """
@@ -41,7 +41,6 @@ from repro.analysis.runcache import RunCache
 from repro.obs.profiler import PhaseProfiler, set_stage_profiler
 from repro.sim.config import SimConfig
 from repro.sim.simulator import simulate
-from repro.sim.stages import vector
 from repro.workloads.generators import CATEGORIES, WorkloadSpec
 
 TRAJECTORY_PATH = os.path.join(
@@ -61,11 +60,9 @@ BENCH_SUITE = [
 
 BENCH_CONFIGS = ("no", "entangling_4k")
 
-#: Every available simulator backend, reference first (it anchors the
-#: speedup ratios and the bit-identity assertion).
-BENCH_BACKENDS = ("reference", "staged") + (
-    ("numpy",) if vector.NUMPY_AVAILABLE else ()
-)
+#: Every simulator backend, reference first (it anchors the speedup
+#: ratios and the bit-identity assertion).
+BENCH_BACKENDS = ("reference", "staged")
 
 
 def _geomean(values):

@@ -11,11 +11,11 @@ workload) pair is simulated exactly once even though several figures
 sweep overlapping fields; a final summary reports the unique simulation
 count, cache hits, and the wall-clock the cache saved.
 
-With ``--cache-dir`` the run is also *resumable*: a checkpoint manifest
-(``<cache-dir>/checkpoint.json`` unless ``--checkpoint`` overrides it)
-records every finished (configuration, workload) pair, and ``--resume``
-re-simulates only the pairs the interrupted run never completed — the
-rest are served from the on-disk cache.  Worker faults are retried
+With ``--cache-dir`` the run is also *resumable*: every finished
+(configuration, workload) pair is published to the on-disk run store, so
+rerunning with the same ``--cache-dir`` re-simulates only the pairs the
+interrupted run never completed — the rest are served from disk (the
+timing summary's ``from disk`` count).  Worker faults are retried
 (``--retries`` / ``--task-timeout``, or the ``REPRO_TASK_*`` env vars)
 and persistent failures are quarantined and reported instead of killing
 the evaluation.
@@ -36,7 +36,7 @@ live ``repro_engine_*`` gauges as Prometheus text on
 Usage::
 
     python examples/full_evaluation.py [--per-category N] [--jobs N]
-        [--cache-dir DIR] [--resume] [--trace FILE] [--progress]
+        [--cache-dir DIR] [--trace FILE] [--progress]
         [--events FILE] [--metrics-port N] [--out FILE]
 """
 
@@ -71,7 +71,6 @@ from repro.analysis.figures import (
     sec4e_physical,
     tab4_energy,
 )
-from repro.analysis.checkpoint import CheckpointManifest, set_checkpoint
 from repro.analysis.experiments import resolve_jobs, run_suite
 from repro.analysis.runcache import RunCache, set_run_cache
 from repro.workloads import cloudsuite_suite, cvp_suite
@@ -84,13 +83,6 @@ def main() -> None:
                         help="worker processes (default: REPRO_JOBS env or 1)")
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="persist simulation results here (reused on rerun)")
-    parser.add_argument("--checkpoint", type=str, default=None,
-                        help="checkpoint manifest path (default: "
-                             "<cache-dir>/checkpoint.json)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the checkpoint manifest: pairs it "
-                             "records as done are served from the disk cache "
-                             "and only missing pairs re-simulate")
     parser.add_argument("--retries", type=int, default=None,
                         help="retries per failed worker task "
                              "(default: REPRO_TASK_RETRIES or 2)")
@@ -159,21 +151,6 @@ def main() -> None:
     # workload) fields, and each pair must simulate exactly once.
     cache = RunCache(disk_dir=args.cache_dir)
     set_run_cache(cache)
-
-    checkpoint = None
-    checkpoint_path = args.checkpoint or (
-        os.path.join(args.cache_dir, "checkpoint.json")
-        if args.cache_dir else None
-    )
-    if args.resume and checkpoint_path is None:
-        parser.error("--resume needs --cache-dir (or --checkpoint PATH)")
-    if args.resume and not args.cache_dir:
-        print("warning: --resume without --cache-dir only tracks progress; "
-              "finished pairs still re-simulate (no disk cache to serve "
-              "them from)", file=sys.stderr)
-    if checkpoint_path is not None:
-        checkpoint = CheckpointManifest(checkpoint_path, resume=args.resume)
-        set_checkpoint(checkpoint)
 
     suite = cvp_suite(per_category=args.per_category)
     clouds = cloudsuite_suite(n_instructions=300_000)
@@ -245,12 +222,6 @@ def main() -> None:
         lines.append(
             f"corrupt entries:     {cache.disk_corrupt} rejected and "
             f"re-simulated"
-        )
-    if checkpoint is not None:
-        lines.append(
-            f"checkpoint:          {len(checkpoint)} pairs done "
-            f"({checkpoint.resumed} resumed, {checkpoint.resumed_hits} "
-            f"served from cache, {checkpoint.marked} newly completed)"
         )
     summary = "\n".join(lines)
     sections.append(summary)

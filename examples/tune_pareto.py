@@ -10,24 +10,21 @@ and reports the nondominated frontier.
 
 The search is deterministic in ``--seed`` (equal seeds reproduce the
 front bit-for-bit) and resumable: with ``--cache-dir`` every simulation
-persists to a disk run cache and a checkpoint manifest records finished
-pairs, so a killed search rerun with ``--resume`` re-simulates only what
-never finished.
+persists to a disk run store, so a killed search rerun with the same
+``--cache-dir`` re-simulates only what never finished.
 
 Usage::
 
     python examples/tune_pareto.py [--strategy genetic|random|grid]
         [--population N] [--generations N] [--objectives ipc,storage,energy]
         [--per-category N] [--instructions N] [--seed N] [--jobs N]
-        [--cache-dir DIR] [--resume] [--out PREFIX]
+        [--cache-dir DIR] [--out PREFIX]
 """
 
 import argparse
 import json
-import os
 import sys
 
-from repro.analysis.checkpoint import CheckpointManifest
 from repro.analysis.export import export_pareto_csv
 from repro.analysis.runcache import RunCache
 from repro.analysis.tune import OBJECTIVES, make_tuner
@@ -51,24 +48,14 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for simulation fan-out")
     parser.add_argument("--cache-dir", default=None,
-                        help="persist results + checkpoint here (resumable)")
-    parser.add_argument("--resume", action="store_true")
+                        help="persist results here (resumable)")
     parser.add_argument("--out", default=None, metavar="PREFIX",
                         help="write the front to PREFIX.json / PREFIX.csv")
     args = parser.parse_args()
 
-    if args.resume and not args.cache_dir:
-        parser.error("--resume needs --cache-dir")
-
     suite = cvp_suite(per_category=args.per_category,
                       n_instructions=args.instructions)
     cache = RunCache(disk_dir=args.cache_dir)
-    checkpoint = None
-    if args.cache_dir:
-        checkpoint = CheckpointManifest(
-            os.path.join(args.cache_dir, "tune_checkpoint.json"),
-            resume=args.resume,
-        )
 
     kwargs = {}
     if args.strategy == "genetic":
@@ -80,7 +67,7 @@ def main() -> int:
         args.strategy, suite,
         objectives=[o.strip() for o in args.objectives.split(",") if o.strip()],
         seed=args.seed, train_fraction=args.train_fraction,
-        cache=cache, checkpoint=checkpoint, jobs=args.jobs, **kwargs,
+        cache=cache, jobs=args.jobs, **kwargs,
     )
     print(f"searching with {args.strategy} (seed {args.seed}) over "
           f"{len(tuner.train)} training / {len(tuner.test)} held-out "
@@ -90,8 +77,6 @@ def main() -> int:
     print()
     print(result.render())
     print(result.cache_line)
-    if result.checkpoint_line:
-        print(result.checkpoint_line)
 
     if args.out:
         atomic_write_text(args.out + ".json",

@@ -12,11 +12,6 @@ from repro.analysis.experiments import (
     run_single,
     run_suite,
 )
-from repro.analysis.checkpoint import (
-    CheckpointManifest,
-    get_checkpoint,
-    set_checkpoint,
-)
 from repro.analysis.parallel import (
     FaultInjector,
     FaultReport,
@@ -67,9 +62,6 @@ __all__ = [
     "run_prefetcher_on_suite",
     "run_single",
     "run_suite",
-    "CheckpointManifest",
-    "get_checkpoint",
-    "set_checkpoint",
     "FaultInjector",
     "FaultReport",
     "RetryPolicy",

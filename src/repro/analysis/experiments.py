@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.checkpoint import CheckpointManifest, get_checkpoint
 from repro.analysis.runcache import RunCache, get_run_cache, run_key
 from repro.check import sanitizer_from_env
 from repro.obs.profiler import stage
@@ -46,13 +45,6 @@ DEFAULT_CACHE = "default"
 #: Type accepted by the ``cache`` parameters below: an explicit
 #: :class:`RunCache`, ``None`` (no caching), or :data:`DEFAULT_CACHE`.
 CacheArg = Union[RunCache, None, str]
-
-#: Sentinel for "use the process-wide default checkpoint manifest" (which
-#: is itself None unless a driver installed one via ``set_checkpoint``).
-DEFAULT_CHECKPOINT = "default"
-
-#: Type accepted by the ``checkpoint`` parameters below.
-CheckpointArg = Union[CheckpointManifest, None, str]
 
 
 def positive_env_int(name: str, default: int) -> int:
@@ -89,12 +81,6 @@ def _resolve_cache(cache: CacheArg) -> Optional[RunCache]:
     if cache == DEFAULT_CACHE:
         return get_run_cache()
     return cache
-
-
-def _resolve_checkpoint(checkpoint: CheckpointArg) -> Optional[CheckpointManifest]:
-    if checkpoint == DEFAULT_CHECKPOINT:
-        return get_checkpoint()
-    return checkpoint
 
 
 @lru_cache(maxsize=256)
@@ -373,7 +359,7 @@ def run_suite(
     include_baseline: bool = True,
     jobs: Optional[int] = None,
     cache: CacheArg = DEFAULT_CACHE,
-    checkpoint: CheckpointArg = DEFAULT_CHECKPOINT,
+    checkpoint: None = None,  # None only; perfbench/grid.py still passes it
     retry_policy: Optional["RetryPolicy"] = None,
     trace_path: Optional[str] = None,
     progress: Union[bool, Any, None] = None,
@@ -390,11 +376,9 @@ def run_suite(
     The parallel path is fault tolerant (retries, timeouts, quarantine —
     see :class:`~repro.analysis.parallel.RetryPolicy`): it always returns
     a complete or *explicitly partial* result (``evaluation.faults``,
-    ``evaluation.is_complete()``).  ``checkpoint`` (the process default
-    unless overridden) records finished pairs in a
-    :class:`~repro.analysis.checkpoint.CheckpointManifest` so an
-    interrupted evaluation can resume; a non-None checkpoint routes even
-    ``jobs=1`` through the fault-tolerant runner (in-process).
+    ``evaluation.is_complete()``).  A disk-backed ``cache`` is also the
+    resume record: rerunning an interrupted evaluation on the same
+    store simulates only the pairs whose entries were never published.
 
     ``trace_path`` writes a merged Chrome trace-event JSON (Perfetto /
     ``chrome://tracing``) of the whole evaluation — suite, cache lookups,
@@ -422,8 +406,13 @@ def run_suite(
         names.insert(0, "no")
     evaluation = EvaluationResult()
     evaluation.categories = {spec.name: spec.category for spec in specs}
+    if checkpoint is not None:
+        raise TypeError(
+            "run_suite(checkpoint=...) is retired: pass a disk-backed "
+            "cache (RunCache(disk_dir=...)) and rerun on the same store "
+            "to resume"
+        )
     n_jobs = resolve_jobs(jobs)
-    active_checkpoint = _resolve_checkpoint(checkpoint)
 
     recorder: Optional[Any] = None
     collector: Optional[Any] = None
@@ -479,7 +468,6 @@ def run_suite(
 
     use_engine = (
         n_jobs > 1
-        or active_checkpoint is not None
         or retry_policy is not None
         or collector is not None
         or monitor is not None
@@ -514,7 +502,6 @@ def run_suite(
                     warmup_instructions=warmup_instructions,
                     jobs=n_jobs,
                     cache=_resolve_cache(cache),
-                    checkpoint=active_checkpoint,
                     policy=retry_policy,
                     span_collector=collector,
                     monitor=monitor,

@@ -60,7 +60,6 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.checkpoint import CheckpointManifest
 from repro.analysis.experiments import (
     resolve_config,
     resolve_warmup,
@@ -722,7 +721,6 @@ def run_tasks_parallel(
     warmup_instructions: Optional[int] = None,
     jobs: int = 2,
     cache: Optional[RunCache] = None,
-    checkpoint: Optional[CheckpointManifest] = None,
     policy: Optional[RetryPolicy] = None,
     span_collector: Optional[Any] = None,
     monitor: Optional[Any] = None,
@@ -735,10 +733,10 @@ def run_tasks_parallel(
     workload name -> result — populated in the same deterministic order as
     the serial path, plus the executor's :class:`FaultReport`.  Pairs
     already in ``cache`` are served locally; only misses are dispatched,
-    and their results are stored back.  Completed pairs are recorded in
-    ``checkpoint`` (if given) so an interrupted sweep can be resumed; pairs
-    that fail every attempt are quarantined (absent from ``runs``, listed
-    in the report) rather than fatal.
+    and their results are stored back, so rerunning an interrupted sweep
+    on the same disk store simulates only the missing pairs.  Pairs that
+    fail every attempt are quarantined (absent from ``runs``, listed in
+    the report) rather than fatal.
 
     ``span_collector`` (a ``repro.obs.spans.SuiteSpanCollector``) turns on
     distributed tracing: workers record span batches that are merged,
@@ -780,11 +778,7 @@ def run_tasks_parallel(
         label_keys: Dict[str, str] = {}  # task label -> run-key provenance
         for name, spec in ordered:
             key: Optional[str] = None
-            if (
-                cache is not None
-                or checkpoint is not None
-                or events_bus is not None
-            ):
+            if cache is not None or events_bus is not None:
                 _prefetcher, sim_config = resolve_config(name, base)
                 key = run_key(
                     spec, name, sim_config,
@@ -803,9 +797,6 @@ def run_tasks_parallel(
                     results[(name, spec.name)] = hit
                     if monitor is not None:
                         monitor.note_cache_hit(f"{name}/{spec.name}")
-                    if checkpoint is not None:
-                        checkpoint.note_hit(key)
-                        checkpoint.mark_done(key, name, spec.name)
                     continue
             pending.append((name, spec, key))
 
@@ -836,9 +827,6 @@ def run_tasks_parallel(
                     results[(name, spec.name)] = hit
                     if monitor is not None:
                         monitor.note_cache_hit(label)
-                    if checkpoint is not None:
-                        checkpoint.note_hit(key)
-                        checkpoint.mark_done(key, name, spec.name)
                     continue
                 held_leases.append(lease)
                 owned.append((name, spec, key))
@@ -922,8 +910,6 @@ def run_tasks_parallel(
                     results[(name, spec.name)] = result
                     if cache is not None and key is not None:
                         cache.put(key, result, label=label)
-                    if checkpoint is not None and key is not None:
-                        checkpoint.mark_done(key, name, spec.name)
                 if events_observer is not None:
                     # Final verdicts + crash post-mortems: one quarantined
                     # event per task that failed every attempt, and the
@@ -1011,8 +997,6 @@ def run_tasks_parallel(
                 result = sim
             if result is not None:
                 results[(name, spec.name)] = result
-                if checkpoint is not None:
-                    checkpoint.mark_done(key, name, spec.name)
     finally:
         if keeper is not None:
             keeper.stop()

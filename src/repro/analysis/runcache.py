@@ -124,14 +124,6 @@ def run_key(
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
-def _entry_checksum(data: Dict[str, Any]) -> str:
-    """Checksum of a disk entry's payload (everything but the checksum)."""
-    payload = {k: v for k, v in data.items() if k != "checksum"}
-    return hashlib.sha256(
-        _canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:16]
-
-
 class RunCache:
     """In-process (optionally on-disk) memo of detached ``SimResult``s.
 

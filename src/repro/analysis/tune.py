@@ -23,12 +23,10 @@ name ``tuned:<hash>`` derived from the genome (``run_key`` covers only
 the config *name* and the :class:`SimConfig`, so the entangling half of
 the genome must be folded into the name).  Duplicate genomes — common in
 genetic populations — and the shared ``no`` baseline are therefore free,
-and with a disk-backed cache plus a
-:class:`~repro.analysis.checkpoint.CheckpointManifest` a killed search
-resumes without re-simulating any finished genome: the search is
-deterministic in its seed, so re-walking the genome sequence turns every
-checkpointed run into a disk hit (asserted via the cache/manifest
-counters).
+and with a disk-backed cache a killed search resumes without
+re-simulating any finished genome: the search is deterministic in its
+seed, so re-walking the genome sequence turns every published run into
+a disk hit (asserted via the cache's hit/store counters).
 
 Surfaced as ``repro tune`` and ``examples/tune_pareto.py``.
 """
@@ -43,11 +41,9 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.checkpoint import CheckpointManifest
 from repro.analysis.experiments import (
     _cached_units,
     _cached_workload,
-    resolve_config,
     resolve_warmup,
     run_cached,
 )
@@ -263,7 +259,6 @@ class TuneResult:
     invalid: int = 0
     front: List[GenomeResult] = field(default_factory=list)
     cache_line: Optional[str] = None
-    checkpoint_line: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -359,7 +354,6 @@ class Tuner:
         seed: int = 0,
         train_fraction: float = 0.75,
         cache: Optional[RunCache] = None,
-        checkpoint: Optional[CheckpointManifest] = None,
         jobs: int = 1,
     ) -> None:
         if not specs:
@@ -379,7 +373,6 @@ class Tuner:
         self.rng = Random(seed)
         self.train, self.test = split_suite(specs, train_fraction, seed)
         self.cache = cache if cache is not None else RunCache()
-        self.checkpoint = checkpoint
         self.jobs = max(1, jobs)
         self.invalid = 0
         self._degradation_warned = False
@@ -411,11 +404,6 @@ class Tuner:
             invalid=self.invalid,
             front=front,
             cache_line=self.cache.stats_line(),
-            checkpoint_line=(
-                self.checkpoint.stats_line()
-                if self.checkpoint is not None
-                else None
-            ),
         )
         return outcome
 
@@ -522,10 +510,6 @@ class Tuner:
                 hit = self.cache.wait_probe(key, label=label)
                 if hit is not None:  # published since our get() miss
                     store.release(lease)
-                    if self.checkpoint is not None:
-                        self.checkpoint.mark_done(
-                            key, genome_name(task[1]), task[0].name
-                        )
                     continue
                 held.append(lease)
                 owned_tasks.append(task)
@@ -552,16 +536,11 @@ class Tuner:
                     except Exception as exc:  # noqa: BLE001 — degrade per pair
                         logger.warning("tune pair %s failed: %s", label, exc)
                         results.append(None)
-            for (spec, genome, _base), key, result in zip(tasks, keys, results):
+            for key, result in zip(keys, results):
                 if result is None:
                     continue  # quarantined; the genome's score degrades
                 self.cache.put(key, result)
-                if self.checkpoint is not None:
-                    self.checkpoint.mark_done(
-                        key, genome_name(genome), spec.name
-                    )
             for task, key, label in followed:
-                spec, genome, _base = task
                 result = None
                 while result is None:
                     hit = await_result(self.cache, store, key, label)
@@ -585,8 +564,6 @@ class Tuner:
                         break
                     self.cache.put(key, result)
                     store.release(lease)
-                if result is not None and self.checkpoint is not None:
-                    self.checkpoint.mark_done(key, genome_name(genome), spec.name)
         finally:
             if keeper is not None:
                 keeper.stop()
@@ -601,18 +578,11 @@ class Tuner:
                     )
 
     def _baseline_result(self, spec: WorkloadSpec) -> Optional[SimResult]:
-        _prefetcher, sim_config = resolve_config("no", self.base_config)
-        key = run_key(spec, "no", sim_config, resolve_warmup(spec, None))
         try:
-            result = run_cached(spec, "no", self.base_config, cache=self.cache)
+            return run_cached(spec, "no", self.base_config, cache=self.cache)
         except ValueError as exc:
             logger.warning("baseline %s failed: %s", spec.name, exc)
             return None
-        if self.checkpoint is not None:
-            if result.stats.from_cache:
-                self.checkpoint.note_hit(key)
-            self.checkpoint.mark_done(key, "no", spec.name)
-        return result
 
     def _suite_speedup(
         self, genome: Dict[str, object], specs: Sequence[WorkloadSpec]
@@ -643,11 +613,7 @@ class Tuner:
                     failures += 1
                     continue
                 self.cache.put(key, fresh)
-                if self.checkpoint is not None:
-                    self.checkpoint.mark_done(key, name, spec.name)
                 tuned = fresh
-            elif self.checkpoint is not None:
-                self.checkpoint.note_hit(key)
             if tuned.stats.ipc <= 0.0:
                 failures += 1
                 continue

@@ -57,7 +57,7 @@ def atomic_write_bytes(
     be atomic.  ``fsync=False`` skips the durability barrier for callers
     that only need atomicity (tests, scratch output).  ``scope`` labels
     this write for the fault-injection harness (``cache``, ``ledger``,
-    ``checkpoint``, or the default ``artifact``).
+    or the default ``artifact``).
     """
     tmp = f"{path}.{os.getpid()}.{next(_tmp_counter)}.tmp"
     try:

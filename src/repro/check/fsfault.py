@@ -17,14 +17,14 @@ Syntax (comma-separated rules)::
 Each rule is ``mode:fraction[:scope]`` with mode one of
 
 * ``enospc`` / ``eio`` — raise ``OSError(ENOSPC/EIO)`` at the seam
-  (write, rename, lease-create, ledger/manifest append);
+  (write, rename, lease-create, ledger append);
 * ``torn-rename`` — truncate the staging file to half before the
   ``os.replace``, simulating a crash between write and rename: the
   destination ends up torn and the store's checksum must catch it;
 * ``slow`` — sleep at the seam, widening race windows.
 
 ``scope`` restricts a rule to one seam family (``cache``, ``ledger``,
-``checkpoint``, ``artifact``); omitted means all.  Selection hashes
+``artifact``); omitted means all.  Selection hashes
 ``(seed, mode, op, basename, per-(op,basename) counter)`` — deterministic
 per process, independent of wall clock and interleaving.  The seed comes
 from ``REPRO_FSFAULT_SEED`` (default 0).
@@ -60,6 +60,7 @@ from typing import Any, Dict, List, Optional, Tuple
 logger = logging.getLogger(__name__)
 
 _MODES = ("enospc", "eio", "torn-rename", "slow")
+_SCOPES = ("cache", "ledger", "artifact")
 
 #: How long a ``slow`` rule sleeps at a selected seam (seconds).
 SLOW_SECONDS = 0.05
@@ -101,7 +102,11 @@ def parse_rules(raw: str) -> List[FaultRule]:
             raise ValueError(
                 f"REPRO_FSFAULT fraction {fraction} must be in [0, 1]"
             )
-        scope = parts[2].strip().lower() if len(parts) == 3 else None
+        scope = parts[2].strip().lower() if len(parts) == 3 else ""
+        if scope and scope not in _SCOPES:
+            raise ValueError(
+                f"REPRO_FSFAULT scope {scope!r} not in {_SCOPES}"
+            )
         rules.append(FaultRule(mode, fraction, scope or None))
     return rules
 

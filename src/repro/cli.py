@@ -490,9 +490,7 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     import json
-    import os
 
-    from repro.analysis.checkpoint import CheckpointManifest
     from repro.analysis.export import export_pareto_csv
     from repro.analysis.runcache import RunCache
     from repro.analysis.tune import make_tuner
@@ -500,21 +498,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.workloads.generators import cvp_suite
 
     objectives = [o.strip() for o in args.objectives.split(",") if o.strip()]
-    if args.resume and not args.cache_dir:
-        print("tune: --resume needs --cache-dir (the disk run cache is "
-              "what resumption serves finished genomes from)",
-              file=sys.stderr)
-        return 2
     suite = cvp_suite(
         per_category=args.per_category, n_instructions=args.instructions
     )
     cache = RunCache(disk_dir=args.cache_dir)
-    checkpoint = None
-    if args.cache_dir:
-        checkpoint = CheckpointManifest(
-            os.path.join(args.cache_dir, "tune_checkpoint.json"),
-            resume=args.resume,
-        )
     kwargs = {}
     if args.strategy == "genetic":
         kwargs = dict(
@@ -532,7 +519,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             seed=args.seed,
             train_fraction=args.train_fraction,
             cache=cache,
-            checkpoint=checkpoint,
             jobs=resolve_jobs(args.jobs),
             **kwargs,
         )
@@ -551,8 +537,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if result.invalid:
         print(f"({result.invalid} structurally invalid genome(s) skipped)")
     print(result.cache_line)
-    if result.checkpoint_line:
-        print(result.checkpoint_line)
     if args.out:
         json_path = args.out + ".json"
         atomic_write_text(
@@ -1069,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser(
         "tune",
         help="multi-objective search over the Entangling design space "
-             "(emits the Pareto front; resumable via --cache-dir/--resume)",
+             "(emits the Pareto front; resumable via --cache-dir)",
     )
     tune.add_argument(
         "--strategy",
@@ -1137,14 +1121,9 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--cache-dir",
         default=None,
-        help="persist simulation results and the tune checkpoint here "
-             "(makes the search resumable)",
-    )
-    tune.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted search: checkpointed genomes are "
-             "served from the disk cache, never re-simulated",
+        help="persist simulation results here; rerunning an "
+             "interrupted search on the same dir serves every finished "
+             "genome from it, never re-simulated",
     )
     tune.add_argument(
         "--out",

@@ -1,43 +1,41 @@
 """Bit-identity and selection tests for the simulator backends.
 
-The staged and numpy cores (``repro.sim.stages``) promise *bit-identical*
+The staged core (``repro.sim.stages``) promises *bit-identical*
 :meth:`~repro.sim.stats.SimStats.signature` results against the
 reference per-cycle simulator — not "statistically close", identical.
 These tests pin that contract across the feature axes that select
-different code paths inside the fast cores:
+different code paths inside the staged core:
 
 * workload category (branchy int vs. loopy fp vs. miss-heavy srv);
-* prefetcher kind (passive ``no`` → the monolithic passive loop and the
-  numpy span fast path; active ``next_line``/``entangling_4k`` → the
-  active streak loop);
+* prefetcher kind (passive ``no`` → the monolithic passive loop; active
+  ``next_line``/``entangling_4k`` → the active streak loop);
 * L1I replacement policy (LRU move-to-end vs. FIFO insertion order);
 * address translation (a mapper disables the streak loops entirely,
   forcing the staged per-stage path);
 * warmup (mid-run stats reset must land on the same cycle);
 * attached observers (tracer event streams must match event-for-event,
-  and the sanitizer must stay green on the fast cores).
+  and the sanitizer must stay green on the staged core).
 
 Selection tests cover ``resolve_backend`` precedence (config beats
-``REPRO_BACKEND`` beats default) and the env-var validation error.
+``REPRO_BACKEND`` beats default) and the validation errors every entry
+point (config field, env var, CLI flag) raises for an unknown backend.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.check.errors import ConfigError
 from repro.check.sanitize import Sanitizer
 from repro.obs.tracer import PrefetchTracer
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.config import BACKENDS, SimConfig
 from repro.sim.simulator import Simulator, simulate
 from repro.sim.stages import StagedSimulator, backend_from_env, resolve_backend
-from repro.sim.stages import vector
 from repro.workloads.generators import WorkloadSpec, make_workload
 
-#: Backends under test beyond the reference anchor.  The numpy core is
-#: exercised only when numpy is importable; resolve_backend's fallback
-#: is covered separately.
-FAST_BACKENDS = ("staged",) + (("numpy",) if vector.NUMPY_AVAILABLE else ())
+#: Backends under test beyond the reference anchor.
+FAST_BACKENDS = ("staged",)
 
 N_INSTRUCTIONS = 12_000
 
@@ -101,8 +99,8 @@ def test_backend_bit_identical_fifo(backend, prefetcher):
 @pytest.mark.parametrize("backend", FAST_BACKENDS)
 def test_backend_bit_identical_physical_addresses(backend):
     # A non-None address mapper disables the monolithic streak loops, so
-    # this pins the staged per-stage path (and the numpy core's
-    # inheritance of it) rather than the batch fast paths.
+    # this pins the staged per-stage path rather than the batch fast
+    # paths.
     trace = _trace("int")
     config = SimConfig().with_physical_addresses()
     reference = _signature(trace, "entangling_4k", config)
@@ -158,11 +156,10 @@ def test_resolve_backend_staged():
 
 
 def test_resolve_backend_numpy():
-    cls = resolve_backend("numpy")
-    if vector.NUMPY_AVAILABLE:
-        assert cls is vector.NumpySimulator
-    else:
-        assert cls is StagedSimulator
+    # An unsupported engine is an error naming the ones that exist,
+    # never a silent fallback to another engine.
+    with pytest.raises(ValueError, match="reference, staged"):
+        resolve_backend("numpy")
 
 
 def test_env_backend_fills_in(monkeypatch):
@@ -206,8 +203,30 @@ def test_config_rejects_unknown_backend():
         SimConfig(backend="turbo")
 
 
+def test_config_rejects_numpy_backend():
+    with pytest.raises(ConfigError, match=r"\('reference', 'staged'\)"):
+        SimConfig(backend="numpy")
+
+
+def test_env_rejects_numpy_backend(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    with pytest.raises(ValueError, match="one of reference, staged"):
+        backend_from_env()
+
+
+def test_cli_run_rejects_numpy_backend(tmp_path, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", str(tmp_path / "t.trc"), "--backend", "numpy"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "'numpy'" in err
+    assert "'reference', 'staged'" in err
+
+
 def test_backends_constant_shape():
-    assert BACKENDS == ("reference", "staged", "numpy")
+    assert BACKENDS == ("reference", "staged")
 
 
 def test_cli_run_backend_flag(tmp_path, capsys):

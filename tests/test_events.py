@@ -416,7 +416,7 @@ class TestRunSuiteIntegration:
         evaluation = run_suite(
             [SPEC_A, SPEC_B], ["no", "next_line"],
             warmup_instructions=WARMUP, include_baseline=False, jobs=2,
-            cache=None, checkpoint=None, events_path=path,
+            cache=None, events_path=path,
         )
         assert evaluation.is_complete()
         counts = self._counts(path)
@@ -438,7 +438,7 @@ class TestRunSuiteIntegration:
         path = str(tmp_path / "ev.jsonl")
         evaluation = run_suite(
             [SPEC_A], ["no"], warmup_instructions=WARMUP,
-            include_baseline=False, jobs=1, cache=None, checkpoint=None,
+            include_baseline=False, jobs=1, cache=None,
             events_path=path,
         )
         assert evaluation.is_complete()
@@ -452,7 +452,7 @@ class TestRunSuiteIntegration:
         monkeypatch.setenv("REPRO_EVENTS", path)
         run_suite(
             [SPEC_A], ["no"], warmup_instructions=WARMUP,
-            include_baseline=False, jobs=1, cache=None, checkpoint=None,
+            include_baseline=False, jobs=1, cache=None,
         )
         assert self._counts(path)["task_finished"] == 1
 
@@ -463,7 +463,7 @@ class TestRunSuiteIntegration:
             run_suite(
                 [SPEC_A], ["no"], warmup_instructions=WARMUP,
                 include_baseline=False, jobs=2, cache=cache,
-                checkpoint=None, events_path=path,
+                events_path=path,
             )
         counts = self._counts(path)
         assert counts["cache_miss"] == 1
@@ -476,7 +476,7 @@ class TestRunSuiteIntegration:
         path = str(tmp_path / "ev.jsonl")
         run_suite(
             [SPEC_A], ["next_line"], warmup_instructions=WARMUP,
-            include_baseline=False, jobs=2, cache=None, checkpoint=None,
+            include_baseline=False, jobs=2, cache=None,
             events_path=path,
         )
         reports = [e for e in read_events(path).events
@@ -494,7 +494,7 @@ class TestRunSuiteIntegration:
         path = str(tmp_path / "ev.jsonl")
         evaluation = run_suite(
             [SPEC_A], ["no"], warmup_instructions=WARMUP,
-            include_baseline=False, jobs=2, cache=None, checkpoint=None,
+            include_baseline=False, jobs=2, cache=None,
             events_path=path,
         )
         assert not evaluation.is_complete()
@@ -531,7 +531,7 @@ class TestZeroCost:
             )
             evaluation = run_suite(
                 [spec], ["no"], warmup_instructions=10000,
-                include_baseline=False, jobs=2, cache=None, checkpoint=None,
+                include_baseline=False, jobs=2, cache=None,
             )
             assert "repro.obs.events" not in sys.modules, "bus leaked"
             assert "repro.obs.exporthttp" not in sys.modules, "http leaked"
@@ -550,7 +550,7 @@ class TestZeroCost:
 
         evaluation = run_suite(
             [SPEC_A], ["no"], warmup_instructions=WARMUP,
-            include_baseline=False, jobs=2, cache=None, checkpoint=None,
+            include_baseline=False, jobs=2, cache=None,
             events_path=str(tmp_path / "ev.jsonl"),
         )
         ours = json.loads(json.dumps(

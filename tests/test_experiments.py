@@ -93,8 +93,7 @@ class TestRunSuite:
             WorkloadSpec(name="t_bad", category="bogus", seed=1,
                          n_instructions=1_000)
         ]
-        ev = run_suite(suite, ["next_line"], jobs=1, cache=None,
-                       checkpoint=None)
+        ev = run_suite(suite, ["next_line"], jobs=1, cache=None)
         # The good workload still ran everywhere; the broken one is
         # quarantined into the fault report instead of killing the suite.
         assert ev.runs["no"]["t_int"].stats.instructions > 0

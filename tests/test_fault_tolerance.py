@@ -4,7 +4,7 @@ The contract under test: with worker faults injected (crash, hang,
 corrupt result, pool-killing exit), ``run_suite`` still returns a
 complete — or explicitly partial — ``EvaluationResult`` whose stats are
 bit-identical to a clean serial run, and an interrupted evaluation
-resumes from its checkpoint manifest re-simulating only missing pairs.
+rerun on the same disk run store re-simulates only missing pairs.
 
 Fault injection is driven by ``REPRO_FAULT_INJECT=mode:fraction[:scope]``
 (see :class:`repro.analysis.parallel.FaultInjector`); victims are chosen
@@ -13,11 +13,6 @@ by hashing the task label, so every process and attempt agrees on them.
 
 import pytest
 
-from repro.analysis.checkpoint import (
-    CheckpointManifest,
-    get_checkpoint,
-    set_checkpoint,
-)
 from repro.analysis.experiments import run_suite
 from repro.analysis.parallel import (
     FaultInjector,
@@ -45,14 +40,7 @@ FAST_BACKOFF = RetryPolicy(retries=2, timeout=None, backoff_base=0.01)
 
 @pytest.fixture(scope="module")
 def clean_eval():
-    return run_suite(SMALL_SUITE, CONFIGS, jobs=1, cache=None, checkpoint=None)
-
-
-@pytest.fixture(autouse=True)
-def _no_global_checkpoint():
-    previous = set_checkpoint(None)
-    yield
-    set_checkpoint(previous)
+    return run_suite(SMALL_SUITE, CONFIGS, jobs=1, cache=None)
 
 
 def assert_identical(evaluation, reference):
@@ -236,86 +224,58 @@ class TestMapResilient:
 
 
 class TestCheckpointResume:
+    """Resume is the run store's job: a pair is finished exactly when its
+    entry is published, so a rerun on the same disk dir serves it."""
+
     def test_interrupted_run_resumes_only_missing_pairs(self, tmp_path):
-        """The acceptance scenario: interrupt, resume, re-simulate only
+        """The acceptance scenario: interrupt, rerun, re-simulate only
         the pairs the first run never finished."""
         cache_dir = str(tmp_path / "cache")
-        manifest_path = str(tmp_path / "checkpoint.json")
 
         # "Interrupted" first run: only the baseline config completed.
         cache = RunCache(disk_dir=cache_dir)
-        ckpt = CheckpointManifest(manifest_path)
         partial = run_suite(
-            SMALL_SUITE, [], include_baseline=True, jobs=1,
-            cache=cache, checkpoint=ckpt,
+            SMALL_SUITE, [], include_baseline=True, jobs=1, cache=cache,
         )
         assert partial.is_complete()
-        done_first = ckpt.marked
+        done_first = cache.stores
         assert done_first == len(SMALL_SUITE)  # the "no" pairs
 
-        # Resume with the full config set: a fresh process would build a
-        # fresh cache object (disk entries persist) and reload the manifest.
+        # Rerun with the full config set: a fresh process builds a fresh
+        # cache object over the same disk entries.
         cache2 = RunCache(disk_dir=cache_dir)
-        ckpt2 = CheckpointManifest(manifest_path)
-        assert ckpt2.resumed == done_first
-        full = run_suite(
-            SMALL_SUITE, CONFIGS, jobs=1, cache=cache2, checkpoint=ckpt2,
-        )
+        full = run_suite(SMALL_SUITE, CONFIGS, jobs=1, cache=cache2)
         assert full.is_complete()
         # only the missing (next_line, *) pairs re-simulated ...
         assert cache2.stores == len(SMALL_SUITE) * len(CONFIGS)
-        # ... and every resumed pair was served from the disk cache.
-        assert ckpt2.resumed_hits == done_first
-        assert ckpt2.marked == len(SMALL_SUITE) * len(CONFIGS)
-        assert len(ckpt2) == len(ALL_PAIRS)
+        # ... and every finished pair was served from disk.
+        assert cache2.disk_hits == done_first
 
-        # A third run resumes everything: zero new simulations.
+        # A third run finds everything published: zero new simulations.
         cache3 = RunCache(disk_dir=cache_dir)
-        ckpt3 = CheckpointManifest(manifest_path)
-        again = run_suite(
-            SMALL_SUITE, CONFIGS, jobs=1, cache=cache3, checkpoint=ckpt3,
-        )
+        again = run_suite(SMALL_SUITE, CONFIGS, jobs=1, cache=cache3)
         assert again.is_complete()
         assert cache3.stores == 0
-        assert ckpt3.resumed_hits == len(ALL_PAIRS)
-        assert ckpt3.marked == 0
+        assert cache3.disk_hits == len(ALL_PAIRS)
 
     def test_checkpointed_results_identical_to_clean_run(
         self, tmp_path, clean_eval
     ):
-        cache = RunCache(disk_dir=str(tmp_path))
-        ckpt = CheckpointManifest(str(tmp_path / "ckpt.json"))
-        evaluation = run_suite(
-            SMALL_SUITE, CONFIGS, jobs=2, cache=cache, checkpoint=ckpt,
-        )
+        # Half the pairs come back from disk, half are simulated by
+        # workers: the merged evaluation must equal a clean serial run.
+        cache_dir = str(tmp_path / "cache")
+        run_suite(SMALL_SUITE, [], jobs=1, cache=RunCache(disk_dir=cache_dir))
+        cache = RunCache(disk_dir=cache_dir)
+        evaluation = run_suite(SMALL_SUITE, CONFIGS, jobs=2, cache=cache)
+        assert cache.disk_hits == len(SMALL_SUITE)
         assert_identical(evaluation, clean_eval)
 
-    def test_corrupt_manifest_loads_empty(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text('{"format": 1, "done": {"k"')  # truncated
-        ckpt = CheckpointManifest(str(path))
-        assert ckpt.resumed == 0
-        path.write_text('{"format": 99, "done": {}}')  # wrong version
-        assert CheckpointManifest(str(path)).resumed == 0
-        path.write_text('[1, 2, 3]')  # wrong schema
-        assert CheckpointManifest(str(path)).resumed == 0
-
-    def test_fresh_start_ignores_existing_manifest(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        first = CheckpointManifest(path)
-        first.mark_done("key1", "no", "w1")
-        fresh = CheckpointManifest(path, resume=False)
-        assert "key1" not in fresh
-        assert fresh.resumed == 0
-
-    def test_global_checkpoint_slot(self, tmp_path):
-        assert get_checkpoint() is None
-        ckpt = CheckpointManifest(str(tmp_path / "ckpt.json"))
-        previous = set_checkpoint(ckpt)
-        try:
-            assert get_checkpoint() is ckpt
-        finally:
-            set_checkpoint(previous)
+    def test_checkpoint_keyword_accepts_only_none(self, tmp_path):
+        with pytest.raises(TypeError, match="RunCache"):
+            run_suite(
+                SMALL_SUITE, CONFIGS, jobs=1, cache=None,
+                checkpoint=str(tmp_path / "checkpoint.json"),
+            )
 
 
 class TestFaultReporting:

@@ -7,7 +7,7 @@ inject identical faults; each mode does what it says at the seam
 (enospc/eio raise, torn-rename tears the staging file so the checksum
 catches it downstream, slow only sleeps); scopes restrict rules to one
 seam family; and the seams in :mod:`repro.check.artifacts`,
-the store, the checkpoint manifest, and the event ledger all actually
+the store, and the event ledger all actually
 cross the injector — plus the zero-cost contract: chaos off means the
 module is never even imported.
 """
@@ -56,6 +56,17 @@ class TestParseRules:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             parse_rules("rm-rf:0.5")
+
+    @pytest.mark.parametrize(
+        "raw", ("enospc:1.0:cahce", "enospc:1.0:checkpoint")
+    )
+    def test_unknown_scope_rejected(self, raw):
+        # A typo or an unknown seam family must fail loudly instead of
+        # arming a rule that never fires.
+        with pytest.raises(
+            ValueError, match=r"scope .*'cache', 'ledger', 'artifact'"
+        ):
+            parse_rules(raw)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError, match="not a number"):
@@ -214,17 +225,6 @@ class TestSeams:
         ledger.append(TelemetryEvent(type="run_started", seq=1, ts=0.0, pid=1))
         assert ledger.dropped == 1
         assert ledger.appended == 0
-
-    def test_checkpoint_append_survives_enospc(self, tmp_path, monkeypatch):
-        from repro.analysis.checkpoint import CheckpointManifest
-
-        monkeypatch.setenv("REPRO_FSFAULT", "enospc:1.0:checkpoint")
-        manifest = CheckpointManifest(
-            os.path.join(str(tmp_path), "ckpt.json"), resume=False
-        )
-        manifest.mark_done("k" * 32, "cfg", "wl")  # no raise
-        assert manifest.marked == 1
-        assert manifest._write_failed
 
     def test_zero_cost_when_disarmed(self):
         """Chaos off => repro.check.fsfault is never imported, even

@@ -380,7 +380,7 @@ class TestCleanShutdown:
                 run_suite(
                     specs, ["no", "next_line"], warmup_instructions=100_000,
                     include_baseline=False, jobs=2, cache=None,
-                    checkpoint=None, progress=io.StringIO(),
+                    progress=io.StringIO(),
                 )
             except KeyboardInterrupt:
                 print("interrupted", file=sys.stderr, flush=True)
@@ -416,7 +416,7 @@ class TestRunSuiteProgress:
     def test_progress_stream_gets_status_lines(self):
         stream = io.StringIO()
         evaluation = run_suite(
-            [SPEC], ["next_line"], jobs=1, cache=None, checkpoint=None,
+            [SPEC], ["next_line"], jobs=1, cache=None,
             progress=stream,
         )
         assert evaluation.is_complete()
@@ -429,7 +429,7 @@ class TestRunSuiteProgress:
         monkeypatch.setenv("REPRO_PROGRESS", "1")
         evaluation = run_suite(
             [SPEC], ["next_line"], include_baseline=False, jobs=1,
-            cache=None, checkpoint=None,
+            cache=None,
         )
         assert evaluation.is_complete()
         assert "progress:" in capsys.readouterr().err
@@ -438,7 +438,7 @@ class TestRunSuiteProgress:
         stream = io.StringIO()
         evaluation = run_suite(
             [SPEC], ["next_line"], include_baseline=False, jobs=1,
-            cache=None, checkpoint=None,
+            cache=None,
         )
         assert evaluation.is_complete()
         assert stream.getvalue() == ""
@@ -454,7 +454,7 @@ class TestRunSuiteProgress:
         )
         monitor.stale_tasks.append("next_line/hb_wl")
         outcome = run_tasks_parallel(
-            [SPEC], ["next_line"], jobs=1, cache=None, checkpoint=None,
+            [SPEC], ["next_line"], jobs=1, cache=None,
             monitor=monitor,
         )
         report = outcome.report
@@ -467,11 +467,11 @@ class TestRunSuiteProgress:
     def test_monitored_run_signature_matches_unmonitored(self):
         baseline = run_suite(
             [SPEC], ["next_line"], include_baseline=False, jobs=1,
-            cache=None, checkpoint=None,
+            cache=None,
         )
         monitored = run_suite(
             [SPEC], ["next_line"], include_baseline=False, jobs=1,
-            cache=None, checkpoint=None, progress=io.StringIO(),
+            cache=None, progress=io.StringIO(),
         )
         a = baseline.runs["next_line"]["hb_wl"].stats.signature()
         b = monitored.runs["next_line"]["hb_wl"].stats.signature()

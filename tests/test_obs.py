@@ -259,7 +259,7 @@ class TestBitIdentity:
             )]
             evaluation = run_suite(
                 suite, ["entangling_4k"], warmup_instructions=10000,
-                jobs=1, cache=None, checkpoint=None,
+                jobs=1, cache=None,
             )
             # The engine ran untraced: the span and heartbeat modules must
             # never have been imported (repro.obs itself is fine — its
@@ -291,7 +291,7 @@ class TestBitIdentity:
         trace_path = tmp_path / "suite_trace.json"
         evaluation = run_suite(
             [SPEC], ["entangling_4k"], warmup_instructions=WARMUP,
-            jobs=2, cache=None, checkpoint=None, trace_path=str(trace_path),
+            jobs=2, cache=None, trace_path=str(trace_path),
         )
         ours = json.loads(json.dumps({
             config: {

@@ -2,6 +2,7 @@
 
 import os
 import re
+import subprocess
 
 import pytest
 
@@ -88,3 +89,19 @@ class TestRegistryDocsAgree:
                 continue  # importing it would run the CLI
             module = importlib.import_module(module_info.name)
             assert module.__doc__, f"{module_info.name} lacks a docstring"
+
+
+class TestTrackedFiles:
+    def test_no_bytecode_tracked(self):
+        """Compiled ``.pyc`` files are build output (ignored by the root
+        ``.gitignore``), never source."""
+        try:
+            listing = subprocess.run(
+                ["git", "ls-files", "--", "*.pyc"],
+                cwd=REPO_ROOT, capture_output=True, text=True, timeout=60,
+            )
+        except OSError:
+            pytest.skip("git is not installed")
+        if listing.returncode != 0:
+            pytest.skip("not a git checkout")
+        assert listing.stdout.split() == []

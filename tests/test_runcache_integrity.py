@@ -190,9 +190,9 @@ class TestDiskIntegrity:
             data = json.load(fh)
         del data["stats"]
         del data["checksum"]
-        from repro.analysis.runcache import _entry_checksum
+        from repro.analysis.store import entry_checksum
 
-        data["checksum"] = _entry_checksum(data)  # checksum passes, key absent
+        data["checksum"] = entry_checksum(data)  # checksum passes, key absent
         with open(path, "w") as fh:
             json.dump(data, fh)
         reader = RunCache(disk_dir=str(tmp_path))

@@ -333,7 +333,7 @@ class TestRunSuiteTracing:
         from at least two worker pids."""
         trace_path = tmp_path / "suite_trace.json"
         evaluation = run_suite(
-            SUITE, ["next_line"], jobs=2, cache=None, checkpoint=None,
+            SUITE, ["next_line"], jobs=2, cache=None,
             trace_path=str(trace_path),
         )
         assert evaluation.is_complete()
@@ -362,7 +362,7 @@ class TestRunSuiteTracing:
     def test_serial_traced_run_also_produces_trace(self, tmp_path):
         trace_path = tmp_path / "serial_trace.json"
         evaluation = run_suite(
-            SUITE[:1], ["next_line"], jobs=1, cache=None, checkpoint=None,
+            SUITE[:1], ["next_line"], jobs=1, cache=None,
             trace_path=str(trace_path),
         )
         assert evaluation.is_complete()
@@ -375,11 +375,11 @@ class TestRunSuiteTracing:
 
         cache = RunCache()
         run_suite(
-            SUITE[:1], ["next_line"], jobs=1, cache=cache, checkpoint=None,
+            SUITE[:1], ["next_line"], jobs=1, cache=cache,
         )
         trace_path = tmp_path / "cached_trace.json"
         run_suite(
-            SUITE[:1], ["next_line"], jobs=1, cache=cache, checkpoint=None,
+            SUITE[:1], ["next_line"], jobs=1, cache=cache,
             trace_path=str(trace_path),
         )
         trace = _load_trace(trace_path)
@@ -398,7 +398,7 @@ class TestRunSuiteTracing:
         monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         trace_path = tmp_path / "faulted_trace.json"
         evaluation = run_suite(
-            SUITE, ["next_line"], jobs=3, cache=None, checkpoint=None,
+            SUITE, ["next_line"], jobs=3, cache=None,
             retry_policy=RetryPolicy(retries=2, backoff_base=0.01),
             trace_path=str(trace_path),
         )
@@ -431,7 +431,7 @@ class TestRunSuiteTracing:
         trace_path = tmp_path / "quarantined_trace.json"
         evaluation = run_suite(
             SUITE[:2], ["next_line"], include_baseline=False, jobs=2,
-            cache=None, checkpoint=None,
+            cache=None,
             retry_policy=RetryPolicy(retries=1, backoff_base=0.01),
             trace_path=str(trace_path),
         )
@@ -452,7 +452,7 @@ class TestRunSuiteTracing:
         cache = RunCache()
         evaluation = run_suite(
             SUITE[:1], ["next_line"], include_baseline=False, jobs=1,
-            cache=cache, checkpoint=None,
+            cache=cache,
             trace_path=os.devnull,
         )
         assert evaluation.is_complete()

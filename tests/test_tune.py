@@ -1,16 +1,13 @@
 """Tests for the multi-objective configuration tuner (``repro tune``).
 
 Three guarantees matter most and are asserted end-to-end on tiny
-workloads: seeded searches are bit-reproducible, a resumed search serves
-every previously finished genome from the disk cache without
-re-simulating, and the emitted front is mutually nondominated.
+workloads: seeded searches are bit-reproducible, a rerun on the same disk
+cache serves every previously finished genome without re-simulating,
+and the emitted front is mutually nondominated.
 """
-
-import os
 
 import pytest
 
-from repro.analysis.checkpoint import CheckpointManifest
 from repro.analysis.pareto import dominates
 from repro.analysis.runcache import RunCache
 from repro.analysis.tune import (
@@ -260,46 +257,71 @@ class TestFrontQuality:
             assert not any(dominates(vector, f) for f in front_vectors)
 
 
+class _Killed(BaseException):
+    """Stands in for SIGKILL: escapes every ``except Exception``."""
+
+
+class _DyingCache(RunCache):
+    """A disk-backed cache whose process "dies" before publishing the
+    ``limit + 1``-th result."""
+
+    def __init__(self, disk_dir, limit):
+        super().__init__(disk_dir=disk_dir)
+        self.limit = limit
+
+    def put(self, key, result, **kwargs):
+        if self.stores >= self.limit:
+            raise _Killed()
+        super().put(key, result, **kwargs)
+
+
 class TestResume:
+    """The disk run store is the only record of finished runs: a rerun on
+    the same dir serves every published genome, re-simulating none."""
+
+    @staticmethod
+    def _search(cache):
+        tuner = GeneticTuner(
+            TINY, space=SMALL_SPACE, seed=7, train_fraction=1.0,
+            cache=cache, population=4, generations=2,
+        )
+        return tuner.search()
+
     def test_second_run_resimulates_nothing(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        manifest_path = os.path.join(cache_dir, "tune_checkpoint.json")
-
-        def run(resume):
-            cache = RunCache(disk_dir=cache_dir)
-            manifest = CheckpointManifest(manifest_path, resume=resume)
-            tuner = GeneticTuner(
-                TINY, space=SMALL_SPACE, seed=7, train_fraction=1.0,
-                cache=cache, checkpoint=manifest,
-                population=4, generations=2,
-            )
-            return tuner.search(), cache, manifest
-
-        first, cache1, man1 = run(resume=False)
+        cache1 = RunCache(disk_dir=cache_dir)
+        first = self._search(cache1)
         assert cache1.stores > 0
-        assert man1.marked > 0
 
-        second, cache2, man2 = run(resume=True)
-        assert cache2.stores == 0, "resume must not re-simulate"
-        assert man2.marked == 0
-        assert man2.resumed_hits > 0
-        assert man2.resumed == man1.marked
+        cache2 = RunCache(disk_dir=cache_dir)
+        second = self._search(cache2)
+        assert cache2.stores == 0, "a rerun must not re-simulate"
+        assert cache2.disk_hits == cache1.stores
 
         key = lambda r: (r.name, r.speedup, r.energy, r.storage_bits)
         assert [key(r) for r in first.front] == [key(r) for r in second.front]
 
-    def test_fresh_manifest_discards_prior_progress(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        manifest = CheckpointManifest(path, resume=False)
-        manifest.mark_done("k1", "tuned:abc", "w0")
-        reloaded = CheckpointManifest(path, resume=False)
-        assert "k1" not in reloaded
-        assert reloaded.resumed == 0
-        # The flag only gates what this process *trusts*; the file itself
-        # is untouched until the next mark_done, so a later resume=True
-        # open still sees the original progress.
-        resumed = CheckpointManifest(path, resume=True)
-        assert resumed.resumed == 1
+    def test_killed_search_resimulates_only_missing_pairs(self, tmp_path):
+        total = RunCache(disk_dir=str(tmp_path / "reference"))
+        self._search(total)
+        assert total.stores >= 4
+
+        cache_dir = str(tmp_path / "cache")
+        dying = _DyingCache(cache_dir, limit=total.stores // 2)
+        with pytest.raises(_Killed):
+            self._search(dying)
+        done_first = dying.stores
+        assert done_first == total.stores // 2
+
+        rerun = RunCache(disk_dir=cache_dir)
+        self._search(rerun)
+        assert rerun.stores == total.stores - done_first
+        assert rerun.disk_hits == done_first
+
+        third = RunCache(disk_dir=cache_dir)
+        self._search(third)
+        assert third.stores == 0
+        assert third.disk_hits == total.stores
 
 
 class TestMakeTuner:
