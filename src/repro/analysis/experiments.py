@@ -255,9 +255,9 @@ def run_single(
     if checker is not None:
         # Publish the sanitizer report onto the telemetry bus, if one is
         # installed — discovered via sys.modules (never imported), the
-        # same zero-cost pattern as _discover_span_recorder.  In a worker
-        # this finds the WorkerEventRelay and the report crosses the
-        # progress queue; in-process it finds the parent bus directly.
+        # same zero-cost pattern as _discover_span_recorder.  Inside a
+        # telemetered attempt this finds the WorkerEventRelay and the
+        # report crosses the telemetry channel.
         events_mod = sys.modules.get("repro.obs.events")
         bus = events_mod.get_event_bus() if events_mod is not None else None
         if bus is not None:
@@ -385,8 +385,8 @@ def run_suite(
     executor attempts (error-tagged when they failed), retry backoffs and
     worker-side pipeline stages across every worker process.
     ``progress`` (or ``REPRO_PROGRESS=1``) renders a throttled live
-    status line from worker heartbeats and flags silent workers before
-    the task timeout fires (see ``evaluation.faults.stale_tasks``).
+    status line from the telemetry stream and flags silent workers
+    before the task timeout fires (see ``evaluation.faults.stale_tasks``).
 
     ``events_path`` (or ``REPRO_EVENTS``) appends every telemetry event
     — suite lifecycle, task starts/heartbeats/finishes, executor
@@ -415,63 +415,61 @@ def run_suite(
     n_jobs = resolve_jobs(jobs)
 
     recorder: Optional[Any] = None
-    collector: Optional[Any] = None
     if trace_path is not None:
         from repro.obs.spans import SpanRecorder
 
         recorder = SpanRecorder(role="suite")
     else:
         recorder = _discover_span_recorder()
-    if recorder is not None:
-        from repro.obs.spans import SuiteSpanCollector
-
-        collector = SuiteSpanCollector(recorder)
 
     # Telemetry bus: an explicit events_path creates (and owns) one; a bus
     # installed via set_event_bus (CLI session) is reused; REPRO_EVENTS is
-    # the env fallback.  Discovery goes through sys.modules so a run with
-    # no events configured never imports repro.obs.events.
-    events_bus: Optional[Any] = None
+    # the env fallback; a progress line or a trace alone gets a private,
+    # ledger-less bus.  Discovery goes through sys.modules so a run with
+    # no telemetry configured never imports repro.obs.events.
+    bus: Optional[Any] = None
     owns_bus = False
     if events_path is None:
         events_mod = sys.modules.get("repro.obs.events")
         if events_mod is not None:
-            events_bus = events_mod.get_event_bus()
-        if events_bus is None:
+            bus = events_mod.get_event_bus()
+        if bus is None:
             events_path = os.environ.get("REPRO_EVENTS", "").strip() or None
-    if events_bus is None and events_path is not None:
+    stream = _progress_stream(progress)
+    if bus is None and (
+        events_path is not None or stream is not None or recorder is not None
+    ):
         from repro.obs.events import open_bus
 
-        events_bus = open_bus(events_path)
+        bus = open_bus(events_path)
         owns_bus = True
 
-    monitor: Optional[Any] = None
-    stream = _progress_stream(progress)
-    if stream is not None or events_bus is not None:
-        # Events ride the heartbeat queue, so a bus forces the monitor
-        # (stream may stay None — then nothing is rendered, only sunk).
+    collector: Optional[Any] = None
+    if bus is not None:
         from repro.analysis.parallel import resolve_policy
         from repro.obs.heartbeat import (
-            HeartbeatMonitor,
             heartbeat_interval_from_env,
             stale_after_from_env,
         )
 
-        interval = heartbeat_interval_from_env()
-        monitor = HeartbeatMonitor(
-            total=len(names) * len(specs),
-            stream=stream,
-            stale_after=stale_after_from_env(
-                interval, resolve_policy(retry_policy).timeout
-            ),
+        # The bus's one status aggregator renders this suite's progress
+        # line and flags its stale tasks; a session bus gets its
+        # settings back afterwards.
+        status = bus.status
+        saved_status = (status.stream, status.stale_after)
+        status.stream = stream
+        status.stale_after = stale_after_from_env(
+            heartbeat_interval_from_env(),
+            resolve_policy(retry_policy).timeout,
         )
+        if recorder is not None:
+            from repro.obs.spans import SuiteSpanCollector
 
-    use_engine = (
-        n_jobs > 1
-        or retry_policy is not None
-        or collector is not None
-        or monitor is not None
-    )
+            collector = SuiteSpanCollector(recorder)
+            bus.subscribe(collector.handle)
+            bus.tracing = True
+
+    use_engine = n_jobs > 1 or retry_policy is not None or bus is not None
     suite_span = (
         recorder.span(
             "suite", cat="suite",
@@ -480,8 +478,8 @@ def run_suite(
         if recorder is not None
         else nullcontext()
     )
-    if events_bus is not None:
-        events_bus.emit(
+    if bus is not None:
+        bus.emit(
             "suite_started",
             payload={
                 "n_configs": len(names),
@@ -503,9 +501,7 @@ def run_suite(
                     jobs=n_jobs,
                     cache=_resolve_cache(cache),
                     policy=retry_policy,
-                    span_collector=collector,
-                    monitor=monitor,
-                    events_bus=events_bus,
+                    bus=bus,
                 )
                 evaluation.runs = outcome.runs
                 evaluation.faults = outcome.report
@@ -543,7 +539,7 @@ def run_suite(
                                 "quarantined %s/%s: %s", name, spec.name, exc
                             )
     finally:
-        if events_bus is not None:
+        if bus is not None:
             completed = sum(len(per) for per in evaluation.runs.values())
             quarantined = (
                 len(evaluation.faults.quarantined)
@@ -551,7 +547,7 @@ def run_suite(
                 else 0
             )
             try:
-                events_bus.emit(
+                bus.emit(
                     "suite_finished",
                     payload={
                         "completed": completed,
@@ -559,8 +555,13 @@ def run_suite(
                     },
                 )
             finally:
+                status.close()
+                status.stream, status.stale_after = saved_status
+                if collector is not None:
+                    bus.unsubscribe(collector.handle)
+                    bus.tracing = False
                 if owns_bus:
-                    events_bus.close()
+                    bus.close()
     if collector is not None:
         collector.finish()
     if trace_path is not None and recorder is not None:

@@ -43,16 +43,17 @@ import logging
 import multiprocessing
 import os
 import queue as queue_module
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -341,30 +342,8 @@ class ResilientMap(NamedTuple):
     report: FaultReport
 
 
-class AttemptObserver:
-    """Duck-typed protocol for :func:`map_resilient`'s ``observer``.
-
-    The runner reports what it *observes*: attempt windows (submission
-    to result collection in the pooled path — the worker's own span has
-    the true duration), outcomes including timeouts and pool breaks,
-    and retry backoff sleeps.  ``repro.obs.spans.SuiteSpanCollector``
-    implements this to build the merged execution trace; a no-op default
-    keeps every hook site a single ``is None`` check.
-    """
-
-    def attempt_started(self, label: str, attempt: int) -> None: ...
-
-    def attempt_finished(
-        self, label: str, attempt: int, ok: bool, error: Optional[str] = None
-    ) -> None: ...
-
-    def backoff(
-        self, attempt: int, started: float, ended: float, pending: int
-    ) -> None: ...
-
-
 def _observed_sleep(
-    observer: Optional[AttemptObserver],
+    observer: Optional[Any],
     attempt: int,
     seconds: float,
     pending: int,
@@ -385,7 +364,7 @@ def _run_serial(
     results: List[Optional[Any]],
     attempts_used: List[int],
     report: FaultReport,
-    observer: Optional[AttemptObserver] = None,
+    observer: Optional[Any] = None,
 ) -> None:
     """In-process execution with retries (jobs=1 and broken-pool fallback)."""
     for idx in indices:
@@ -433,7 +412,7 @@ def map_resilient(
     jobs: int = 1,
     policy: Optional[RetryPolicy] = None,
     validate: Optional[Callable[[Any], bool]] = None,
-    observer: Optional[AttemptObserver] = None,
+    observer: Optional[Any] = None,
 ) -> ResilientMap:
     """Run ``fn(task, attempt, in_process=...)`` over ``tasks``, resiliently.
 
@@ -445,10 +424,13 @@ def map_resilient(
     whatever is still missing.  Tasks failing every attempt come back as
     ``None`` entries and are listed in the report's ``quarantined``.
 
-    ``observer`` (see :class:`AttemptObserver`) receives every attempt
-    window, outcome, and backoff sleep — the span-tracing layer hooks in
-    here so even attempts that died in a worker appear, error-tagged, in
-    the merged trace.
+    ``observer`` (``repro.obs.events.EventObserver``) is told what the
+    runner observes: ``attempt_started(label, attempt)``,
+    ``attempt_finished(label, attempt, ok, error)`` — attempt windows
+    run from submission to result collection, and outcomes include
+    timeouts and pool breaks — and ``backoff(attempt, started, ended,
+    pending)`` for each retry sleep.  Even attempts that died in a
+    worker thus appear, error-tagged, in the ledger and the merged trace.
     """
     active = resolve_policy(policy)
     report = FaultReport()
@@ -640,70 +622,78 @@ def execute_task_attempt(
     task: RunTask,
     attempt: int,
     in_process: bool = False,
-    record_spans: bool = False,
-    progress: Optional[Any] = None,
-    heartbeat_interval: Optional[float] = None,
-    events: bool = False,
+    channel: Optional[Any] = None,
 ) -> SimResult:
-    """Worker entry point: fault injection + optional spans/heartbeats.
+    """Worker entry point: fault injection + optional telemetry.
 
-    ``record_spans``, ``progress`` (a queue for
-    :mod:`repro.obs.heartbeat` events) and ``events`` are bound by the
-    parent through ``functools.partial``; all default off, and the
-    observability modules are only imported when the corresponding
-    feature is on, so an untraced worker runs the exact
-    pre-observability path.  ``events`` installs a
-    :class:`~repro.obs.events.WorkerEventRelay` as this worker's process
-    bus for the attempt, so worker-side publishers (the sanitizer path)
-    reach the parent's ledger over the same progress queue.
+    ``channel`` (a :class:`~repro.obs.events.WorkerChannel`, bound by
+    the parent through ``functools.partial``) turns on the worker side
+    of the telemetry channel — lifecycle events, heartbeats, sanitizer
+    reports and, when tracing, spans.  Without it the observability
+    modules are never imported, so an untelemetered worker runs the
+    exact pre-observability path.
     """
     label = task_label(task)
-    pulse = None
-    relay_installed = False
-    previous_bus: Any = None
-    if progress is not None:
-        from repro.obs.heartbeat import (
-            DEFAULT_HEARTBEAT_INTERVAL,
-            HeartbeatPulse,
-            emit_event,
-        )
+    if channel is None:
+        return _attempt_body(task, label, attempt, in_process)
+    from repro.obs.events import worker_attempt
 
-        emit_event(progress, "started", label, attempt=attempt)
-        pulse = HeartbeatPulse(
-            progress, label, heartbeat_interval or DEFAULT_HEARTBEAT_INTERVAL
-        )
-        pulse.start()
-        if events:
-            from repro.obs.events import WorkerEventRelay, set_event_bus
+    with worker_attempt(channel, label, attempt):
+        return _attempt_body(task, label, attempt, in_process)
 
-            previous_bus = set_event_bus(
-                WorkerEventRelay(progress, label, attempt)
-            )
-            relay_installed = True
+
+@contextmanager
+def telemetry_channel(
+    bus: Any, jobs: int, label_keys: Optional[Dict[str, str]] = None
+) -> Iterator[Any]:
+    """Open the worker->parent telemetry channel for one dispatch.
+
+    Yields the :class:`~repro.obs.events.WorkerChannel` to bind into the
+    worker function; a :class:`~repro.obs.events.TelemetryDrain`
+    publishes what arrives on ``bus`` until the block exits, then drains
+    the rest.  ``jobs > 1`` needs a Manager queue (a plain ``mp.Queue``
+    cannot cross a ``ProcessPoolExecutor.submit`` boundary; a manager
+    proxy can); in-process a ``queue.Queue`` does.
+    """
+    from repro.obs.events import TelemetryDrain, WorkerChannel
+
+    manager = None
+    if jobs > 1:
+        manager = multiprocessing.Manager()
+        channel_queue = manager.Queue()
+    else:
+        channel_queue = queue_module.Queue()
+    drain = TelemetryDrain(channel_queue, bus, label_keys)
+    drain.start()
     try:
-        if record_spans:
-            from repro.obs.spans import worker_span_scope
-
-            with worker_span_scope() as recorder:
-                with recorder.span(
-                    "attempt", cat="worker", label=label, attempt=attempt
-                ):
-                    result = _attempt_body(task, label, attempt, in_process)
-                result.spans = recorder.batch()
-        else:
-            result = _attempt_body(task, label, attempt, in_process)
+        yield WorkerChannel(channel_queue, spans=bus.tracing)
     except BaseException:
-        if progress is not None:
-            emit_event(progress, "failed", label, attempt=attempt)
+        if manager is not None:
+            # Abnormal exit (KeyboardInterrupt mid-suite): orphaned pool
+            # workers may still be blocked on call items that embed this
+            # Manager's queue proxy, and unpickling one after the Manager
+            # dies prints a FileNotFoundError traceback from the worker
+            # bootstrap.  Terminate them first; their results are lost
+            # either way.
+            manager_process = getattr(manager, "_process", None)
+            for child in multiprocessing.active_children():
+                if child is manager_process:
+                    continue
+                try:
+                    child.terminate()
+                except Exception:  # noqa: BLE001
+                    pass
         raise
     finally:
-        if relay_installed:
-            set_event_bus(previous_bus)
-        if pulse is not None:
-            pulse.stop()
-    if progress is not None:
-        emit_event(progress, "finished", label, attempt=attempt)
-    return result
+        drain.close()
+        if manager is not None:
+            # Shut the Manager down *now*, cleanly: leaving it to the
+            # multiprocessing atexit machinery prints join tracebacks
+            # when the parent is interrupted.
+            try:
+                manager.shutdown()
+            except Exception:  # noqa: BLE001
+                pass
 
 
 class SuiteOutcome(NamedTuple):
@@ -722,9 +712,7 @@ def run_tasks_parallel(
     jobs: int = 2,
     cache: Optional[RunCache] = None,
     policy: Optional[RetryPolicy] = None,
-    span_collector: Optional[Any] = None,
-    monitor: Optional[Any] = None,
-    events_bus: Optional[Any] = None,
+    bus: Optional[Any] = None,
 ) -> SuiteOutcome:
     """Evaluate ``config_names`` x ``specs`` with ``jobs`` worker processes.
 
@@ -738,12 +726,13 @@ def run_tasks_parallel(
     fail every attempt are quarantined (absent from ``runs``, listed in
     the report) rather than fatal.
 
-    ``span_collector`` (a ``repro.obs.spans.SuiteSpanCollector``) turns on
-    distributed tracing: workers record span batches that are merged,
-    clock-normalized, after collection.  ``monitor`` (a
-    ``repro.obs.heartbeat.HeartbeatMonitor``) turns on worker progress
-    events + the live status line; its stale-task flags fold into the
-    returned report's advisory ``heartbeat_stale`` / ``stale_tasks``.
+    ``bus`` (a :class:`~repro.obs.events.EventBus`) turns on telemetry:
+    the cache publishes onto it, the executor's verdicts go through an
+    :class:`~repro.obs.events.EventObserver`, and workers report over
+    the one telemetry channel (:func:`telemetry_channel`) — spans too,
+    while the bus is tracing.  Stale flags its status aggregator raises
+    during the dispatch fold into the returned report's advisory
+    ``heartbeat_stale`` / ``stale_tasks``.
 
     When the cache has a shared disk store
     (:class:`~repro.analysis.store.ShardedRunStore`), identical in-flight
@@ -763,10 +752,11 @@ def run_tasks_parallel(
     # evaluation (restored on exit: the cache may be process-global).
     publisher_attached = False
     previous_publisher: Optional[Any] = None
-    if events_bus is not None and cache is not None:
+    if bus is not None and cache is not None:
         previous_publisher = cache.publisher
-        cache.publisher = events_bus
+        cache.publisher = bus
         publisher_attached = True
+    tracing = bus is not None and bus.tracing
     store: Optional[Any] = None
     followed: List[Tuple[str, WorkloadSpec, str]] = []
     held_leases: List[Any] = []
@@ -778,25 +768,26 @@ def run_tasks_parallel(
         label_keys: Dict[str, str] = {}  # task label -> run-key provenance
         for name, spec in ordered:
             key: Optional[str] = None
-            if cache is not None or events_bus is not None:
+            label = f"{name}/{spec.name}"
+            if cache is not None or bus is not None:
                 _prefetcher, sim_config = resolve_config(name, base)
                 key = run_key(
                     spec, name, sim_config,
                     resolve_warmup(spec, warmup_instructions),
                 )
-                label_keys[f"{name}/{spec.name}"] = key
+                label_keys[label] = key
             if cache is not None and key is not None:
                 lookup_started = time.time()
-                hit = cache.get(key, label=f"{name}/{spec.name}")
-                if span_collector is not None:
-                    span_collector.cache_lookup(
-                        f"{name}/{spec.name}", hit is not None,
-                        lookup_started, time.time(),
-                    )
+                hit = cache.get(key, label=label)
+                if tracing:
+                    from repro.obs.events import span_payload
+
+                    bus.emit("span", label=label, run=key, payload=span_payload(
+                        "cache_lookup", "cache", lookup_started, time.time(),
+                        args={"label": label, "hit": hit is not None},
+                    ))
                 if hit is not None:
                     results[(name, spec.name)] = hit
-                    if monitor is not None:
-                        monitor.note_cache_hit(f"{name}/{spec.name}")
                     continue
             pending.append((name, spec, key))
 
@@ -825,8 +816,6 @@ def run_tasks_parallel(
                 if hit is not None:
                     store.release(lease)
                     results[(name, spec.name)] = hit
-                    if monitor is not None:
-                        monitor.note_cache_hit(label)
                     continue
                 held_leases.append(lease)
                 owned.append((name, spec, key))
@@ -841,50 +830,19 @@ def run_tasks_parallel(
                 for name, spec, _key in pending
             ]
             labels = [task_label(task) for task in tasks]
-            fn: Callable[..., Any] = execute_task_attempt
-            manager = None
-            progress_queue: Optional[Any] = None
-            heartbeat_interval: Optional[float] = None
-            events_observer: Optional[Any] = None
-            if monitor is not None:
-                from repro.obs.heartbeat import heartbeat_interval_from_env
+            observer: Optional[Any] = None
+            channel_scope: Any = nullcontext()
+            stale_before = 0
+            if bus is not None:
+                from repro.obs.events import EventObserver
 
-                heartbeat_interval = heartbeat_interval_from_env()
-                if jobs > 1:
-                    # Plain mp.Queue objects cannot cross a
-                    # ProcessPoolExecutor.submit boundary; manager proxies
-                    # can.
-                    manager = multiprocessing.Manager()
-                    progress_queue = manager.Queue()
-                else:
-                    progress_queue = queue_module.Queue()
-                monitor.attach_queue(progress_queue)
-                monitor.start()
-            observer: Optional[Any] = span_collector
-            if events_bus is not None:
-                from repro.obs.events import (
-                    EventObserver,
-                    compose_observers,
-                    progress_event_sink,
-                )
-
-                if monitor is not None:
-                    monitor.sink = progress_event_sink(events_bus, label_keys)
-                events_observer = EventObserver(
-                    events_bus,
-                    flight_dir=events_bus.flight_dir,
-                    label_keys=label_keys,
-                )
-                observer = compose_observers(span_collector, events_observer)
-            if span_collector is not None or progress_queue is not None:
-                fn = functools.partial(
-                    execute_task_attempt,
-                    record_spans=span_collector is not None,
-                    progress=progress_queue,
-                    heartbeat_interval=heartbeat_interval,
-                    events=events_bus is not None,
-                )
-            try:
+                observer = EventObserver(bus, label_keys)
+                channel_scope = telemetry_channel(bus, jobs, label_keys)
+                stale_before = len(bus.status.stale_tasks)
+            with channel_scope as channel:
+                fn: Callable[..., Any] = execute_task_attempt
+                if channel is not None:
+                    fn = functools.partial(execute_task_attempt, channel=channel)
                 outcome = map_resilient(
                     fn,
                     tasks,
@@ -898,73 +856,25 @@ def run_tasks_parallel(
                 for (name, spec, key), result, n_attempts in zip(
                     pending, outcome.results, outcome.attempts
                 ):
-                    label = f"{name}/{spec.name}"
                     if result is None:
-                        if monitor is not None:
-                            monitor.note_quarantined(label)
                         continue  # quarantined — reported, not fatal
-                    if span_collector is not None and result.spans is not None:
-                        span_collector.add_batch(result.spans, label)
-                        result.spans = None  # never cache or return batches
                     result.stats.attempts = max(1, n_attempts)
                     results[(name, spec.name)] = result
                     if cache is not None and key is not None:
-                        cache.put(key, result, label=label)
-                if events_observer is not None:
-                    # Final verdicts + crash post-mortems: one quarantined
-                    # event per task that failed every attempt, and the
-                    # flight-recorder artifacts linked from the report.
-                    for failure in report.quarantined:
-                        events_observer.quarantined(
-                            failure.label, failure.attempts, failure.error
-                        )
-                    report.flight_recordings.update(
-                        events_observer.flight_paths
-                    )
-            finally:
-                if monitor is not None:
-                    # Guarded: close() must survive a KeyboardInterrupt
-                    # that already killed the Manager process (the queue
-                    # proxy raises on every drain attempt).
-                    try:
-                        monitor.close()
-                    except Exception:  # noqa: BLE001
-                        pass
-                    report.heartbeat_stale += len(monitor.stale_tasks)
-                    report.stale_tasks.extend(monitor.stale_tasks)
-                if manager is not None:
-                    if sys.exc_info()[0] is not None:
-                        # Abnormal exit (KeyboardInterrupt mid-suite):
-                        # orphaned pool workers may still be blocked on
-                        # call items that embed this Manager's queue
-                        # proxy, and unpickling one after the Manager
-                        # dies prints a FileNotFoundError traceback from
-                        # the worker bootstrap.  Terminate them first;
-                        # their results are lost either way.
-                        manager_process = getattr(manager, "_process", None)
-                        for child in multiprocessing.active_children():
-                            if child is manager_process:
-                                continue
-                            try:
-                                child.terminate()
-                            except Exception:  # noqa: BLE001
-                                pass
-                    # Shut the Manager down *now*, cleanly: leaving it to
-                    # the multiprocessing atexit machinery prints join
-                    # tracebacks when the parent is interrupted.
-                    try:
-                        manager.shutdown()
-                    except Exception:  # noqa: BLE001
-                        pass
+                        cache.put(key, result, label=f"{name}/{spec.name}")
+                if observer is not None:
+                    observer.finish(report)
+            if bus is not None:
+                stale = bus.status.stale_tasks[stale_before:]
+                report.heartbeat_stale += len(stale)
+                report.stale_tasks.extend(stale)
 
         # -- resolve followed keys: poll the owner, steal if it dies -----
         for name, spec, key in followed:
             label = f"{name}/{spec.name}"
             result: Optional[SimResult] = None
             while result is None:
-                hit = await_result(
-                    cache, store, key, label, bus=events_bus
-                )
+                hit = await_result(cache, store, key, label, bus=bus)
                 if hit is not None:
                     result = hit
                     break

@@ -57,7 +57,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, Optional
 
 from repro.prefetchers.registry import available_prefetchers
@@ -243,32 +243,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.task_timeout is not None or args.retries is not None:
             # Guarded execution: run the simulation in a worker process
             # so a hang can be timed out and a crash retried.
-            from repro.analysis.parallel import map_resilient
-
-            observer = None
-            if bus is not None:
-                from repro.obs.events import EventObserver
-
-                observer = EventObserver(
-                    bus, flight_dir=bus.flight_dir, standalone=True
-                )
-            outcome = map_resilient(
-                _sweep_worker,
+            outcome = _dispatch(
+                bus,
                 [(args.trace, args.prefetcher, args.warmup)],
                 labels=[args.prefetcher],
                 jobs=2,  # pooled (1 task -> 1 worker); enables timeout
                 policy=_cli_policy(args),
-                observer=observer,
             )
             result = outcome.results[0]
             if result is None:
                 failure = outcome.report.quarantined[0]
-                if observer is not None:
-                    observer.quarantined(
-                        failure.label, failure.attempts, failure.error
-                    )
-                    for path in observer.flight_paths.values():
-                        print(f"flight recording: {path}", file=sys.stderr)
                 print(f"FAILED {failure.label} after {failure.attempts} "
                       f"attempt(s): {failure.error}", file=sys.stderr)
                 return 1
@@ -333,22 +317,45 @@ def _worker_trace(path: str):
     return load_external_trace(path)
 
 
-def _sweep_worker(task, attempt=0, in_process=False, record_spans=False):
-    """Run one configuration of a sweep (executed in a worker process)."""
-    trace_path, config_name, warmup = task
-    if record_spans:
-        from repro.obs.spans import worker_span_scope
+def _sweep_worker(task, attempt=0, in_process=False, channel=None):
+    """Run one configuration of a sweep (executed in a worker process).
 
-        with worker_span_scope() as recorder:
-            with recorder.span(
-                "attempt", cat="worker", label=config_name, attempt=attempt
-            ):
-                trace = _worker_trace(trace_path)
-                result = _run_one(trace, config_name, warmup).detached()
-            result.spans = recorder.batch()
-            return result
-    trace = _worker_trace(trace_path)
-    return _run_one(trace, config_name, warmup).detached()
+    ``channel`` (a ``repro.obs.events.WorkerChannel``) wraps the attempt
+    in the same worker-side telemetry as the suite engine's workers.
+    """
+    trace_path, config_name, warmup = task
+    if channel is None:
+        return _run_one(_worker_trace(trace_path), config_name, warmup).detached()
+    from repro.obs.events import worker_attempt
+
+    with worker_attempt(channel, config_name, attempt):
+        return _run_one(_worker_trace(trace_path), config_name, warmup).detached()
+
+
+def _dispatch(bus, tasks, labels, jobs, policy):
+    """``map_resilient`` over sweep tasks, telemetered onto ``bus`` if any.
+
+    Workers report over the telemetry channel; quarantine verdicts and
+    flight recordings are published (and the recordings printed) after
+    the dispatch.
+    """
+    from repro.analysis.parallel import map_resilient, telemetry_channel
+
+    if bus is None:
+        return map_resilient(_sweep_worker, tasks, labels=labels, jobs=jobs,
+                             policy=policy)
+    from repro.obs.events import EventObserver
+
+    observer = EventObserver(bus)
+    with telemetry_channel(bus, jobs) as channel:
+        outcome = map_resilient(
+            partial(_sweep_worker, channel=channel), tasks, labels=labels,
+            jobs=jobs, policy=policy, observer=observer,
+        )
+    observer.finish(outcome.report)
+    for path in outcome.report.flight_recordings.values():
+        print(f"flight recording: {path}", file=sys.stderr)
+    return outcome
 
 
 def _cli_policy(args: argparse.Namespace):
@@ -373,55 +380,32 @@ def _cli_policy(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.parallel import map_resilient
-
     names = [n.strip() for n in args.prefetchers.split(",") if n.strip()]
     jobs = resolve_jobs(args.jobs)
     tasks = [(args.trace, name, args.warmup) for name in names]
     with _telemetry(args, "sweep", n_tasks=len(names)) as bus:
         recorder = collector = None
-        worker = _sweep_worker
         if args.trace_out:
-            from functools import partial
-
             from repro.obs.spans import SpanRecorder, SuiteSpanCollector
 
+            if bus is None:
+                from repro.obs.events import open_bus
+
+                bus = open_bus(None)
             recorder = SpanRecorder(role="sweep")
             collector = SuiteSpanCollector(recorder)
-            worker = partial(_sweep_worker, record_spans=True)
-        events_observer = None
-        observer = collector
-        if bus is not None:
-            from repro.obs.events import EventObserver, compose_observers
-
-            events_observer = EventObserver(
-                bus, flight_dir=bus.flight_dir, standalone=True
-            )
-            observer = compose_observers(collector, events_observer)
-        outcome = map_resilient(
-            worker,
-            tasks,
-            labels=names,
-            jobs=jobs if len(names) > 1 else 1,
+            bus.subscribe(collector.handle)
+            bus.tracing = True
+        outcome = _dispatch(
+            bus, tasks, labels=names, jobs=jobs if len(names) > 1 else 1,
             policy=_cli_policy(args),
-            observer=observer,
         )
-        if events_observer is not None:
-            for failure in outcome.report.quarantined:
-                events_observer.quarantined(
-                    failure.label, failure.attempts, failure.error
-                )
-            for path in events_observer.flight_paths.values():
-                print(f"flight recording: {path}", file=sys.stderr)
         baseline = None
         rows = []
         total_wall = 0.0
         for name, result in zip(names, outcome.results):
             if result is None:
                 continue  # quarantined; reported below
-            if collector is not None and result.spans is not None:
-                collector.add_batch(result.spans, name)
-                result.spans = None
             stats = result.stats
             total_wall += stats.wall_seconds
             if baseline is None:
@@ -445,7 +429,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for failure in outcome.report.quarantined:
             print(f"FAILED {failure.label} after {failure.attempts} "
                   f"attempt(s): {failure.error}", file=sys.stderr)
-        if collector is not None and recorder is not None:
+        if collector is not None:
             from repro.obs.chrometrace import write_chrome_trace
 
             collector.finish()

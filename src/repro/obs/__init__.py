@@ -13,17 +13,20 @@ Independent facilities, all strictly opt-in:
 * :mod:`repro.obs.profiler` — wall-clock phase profiling for the
   simulator's four phases (fills / predict / issue / retire) and the
   analysis pipeline stages.
+* :mod:`repro.obs.events` / :mod:`repro.obs.exporthttp` — the unified
+  telemetry layer: one versioned :class:`TelemetryEvent` schema that is
+  also the only worker->parent wire format, one drain loop publishing
+  it on the event bus, and what the bus feeds — the append-only JSONL
+  run ledger, the crash flight recorder, the one status aggregator (live
+  status line, stale-task flags, ``repro top``) and the stdlib HTTP
+  endpoint serving live engine gauges as Prometheus text.
+* :mod:`repro.obs.heartbeat` — the worker-side heartbeat pulse and its
+  ``REPRO_HEARTBEAT_*`` knobs.
 * :mod:`repro.obs.spans` / :mod:`repro.obs.chrometrace` — cross-process
   span tracing of the evaluation engine (suite → task → attempt →
-  backoff / cache lookup / pipeline stages), merged into Chrome
+  backoff / cache lookup / pipeline stages): spans ride the bus as
+  ``span`` events and a bus subscriber merges them into Chrome
   trace-event JSON loadable in Perfetto.
-* :mod:`repro.obs.heartbeat` — worker progress heartbeats and the
-  parent-side live status line + stale-task detection.
-* :mod:`repro.obs.events` / :mod:`repro.obs.exporthttp` — the unified
-  telemetry event bus (one versioned schema over heartbeat, fault,
-  cache and sanitizer signals), the append-only JSONL run ledger, the
-  crash flight recorder, and the stdlib HTTP metrics endpoint serving
-  live engine gauges as Prometheus text.
 
 Overhead contract: a simulation constructed without a tracer or profiler
 executes the exact pre-observability code paths — every hook site is a
@@ -54,7 +57,6 @@ __all__ = [
     "EventBus",
     "EventLedger",
     "FlightRecorder",
-    "HeartbeatMonitor",
     "Metric",
     "MetricsHTTPServer",
     "MetricsRegistry",
@@ -81,7 +83,6 @@ __all__ = [
 _LAZY = {
     "Span": ("repro.obs.spans", "Span"),
     "SpanRecorder": ("repro.obs.spans", "SpanRecorder"),
-    "HeartbeatMonitor": ("repro.obs.heartbeat", "HeartbeatMonitor"),
     "write_chrome_trace": ("repro.obs.chrometrace", "write_chrome_trace"),
     "EventBus": ("repro.obs.events", "EventBus"),
     "EventLedger": ("repro.obs.events", "EventLedger"),

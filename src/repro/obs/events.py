@@ -10,18 +10,23 @@ versioned, structured :class:`TelemetryEvent` schema, one process-wide
 durable, queryable record (``repro events`` / ``repro top``) and can be
 scraped mid-flight (:mod:`repro.obs.exporthttp`).
 
-Event routing is exactly-once by construction:
+Every worker->parent signal crosses **one channel**: a worker puts
+``TelemetryEvent.to_dict()`` dicts on one queue (a Manager proxy across
+processes, ``queue.Queue`` in-process) and the parent's
+:class:`TelemetryDrain` rebuilds each with ``from_dict`` and publishes
+it on the bus, which fans out to the flight recorder, the one
+:class:`StatusAggregator` (status line, stale flags, ``repro top``,
+``/metrics``), the ledger and subscribers such as the Chrome-trace
+collector.  Routing is exactly-once by construction — every occurrence
+has exactly one publisher:
 
-* worker-side lifecycle (``started``/``heartbeat``/``finished``/
-  ``failed``) rides the existing heartbeat progress queue and is
-  translated by the parent monitor's ``sink`` into ``task_*`` events;
-* richer worker-side events (e.g. sanitizer reports) go through a
-  :class:`WorkerEventRelay` installed as the worker's process bus — they
-  cross the same queue as opaque ``bus`` progress events, so the parent
-  assigns one monotonic ``seq`` per event at publish time;
-* parent-side executor verdicts (``attempt_failed``, ``backoff``,
-  ``quarantined``) come from the :class:`EventObserver` hooked into
-  ``map_resilient``;
+* worker lifecycle (``task_started``/``heartbeat``/``task_finished``/
+  ``task_failed``), sanitizer reports and, only while tracing, one
+  ``span`` per closed worker span come from :func:`worker_attempt` and
+  the :class:`WorkerEventRelay` it installs as the worker's process bus;
+* executor verdicts (``attempt_failed``, ``backoff``, ``quarantined``)
+  and, while tracing, the parent-observed attempt spans come from the
+  :class:`EventObserver` hooked into ``map_resilient``;
 * cache traffic (``cache_hit``/``cache_miss``/``cache_store``) comes
   from the :class:`~repro.analysis.runcache.RunCache`'s duck-typed
   ``publisher`` hook — a single ``is None`` check, no imports.
@@ -34,10 +39,11 @@ and linked from the run's
 the fleet was doing when the worker died.
 
 Zero-cost contract (same as :mod:`repro.obs.spans`): nothing imports
-this module unless events are explicitly enabled
+this module unless telemetry is explicitly requested — an event ledger
 (``run_suite(..., events_path=)``, ``REPRO_EVENTS``, ``--events`` /
-``--metrics-port``); an untraced run never loads it (subprocess-pinned
-in ``tests/test_events.py``) and is bit-identical.
+``--metrics-port``), a progress line or a trace; an untelemetered run
+never loads it (subprocess-pinned in ``tests/test_events.py``) and is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -50,8 +56,19 @@ import sys
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
+)
 
 from repro.check.artifacts import atomic_write_json
 
@@ -67,17 +84,19 @@ __all__ = [
     "FlightRecorder",
     "LedgerRead",
     "StatusAggregator",
+    "TelemetryDrain",
+    "WorkerChannel",
     "WorkerEventRelay",
-    "compose_observers",
     "event_matches",
-    "events_path_from_env",
     "follow_events",
     "get_event_bus",
+    "make_event",
     "open_bus",
-    "progress_event_sink",
     "read_events",
     "set_event_bus",
+    "span_payload",
     "summarize_events",
+    "worker_attempt",
 ]
 
 #: Bumped whenever a field changes meaning; the reader rejects (counts as
@@ -105,6 +124,7 @@ EVENT_TYPES = (
     "cache_evicted",    # the shared store evicted an entry (size/age)
     "lease_wait",       # a follower is coalescing on another process's run
     "store_degraded",   # ENOSPC/EIO degraded the shared store to read-only
+    "span",             # one closed span of a traced run (payload: Span fields)
 )
 
 #: Ledger rotation threshold (``REPRO_EVENTS_MAX_BYTES``): when an append
@@ -126,12 +146,6 @@ def _env_positive_int(name: str, default: int) -> int:
             f"{name} must be a positive integer, got {raw!r}"
         ) from None
     return value if value > 0 else default
-
-
-def events_path_from_env() -> Optional[str]:
-    """The ledger path from ``REPRO_EVENTS``, or None when unset/empty."""
-    raw = os.environ.get("REPRO_EVENTS", "").strip()
-    return raw or None
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +583,7 @@ class FlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# status aggregation (repro top / metrics endpoint)
+# status aggregation (status line, stale detection, repro top, /metrics)
 # ---------------------------------------------------------------------------
 
 
@@ -581,17 +595,57 @@ _LIFECYCLE_KINDS = frozenset((
 ))
 
 
+def stream_supports_rewrite(stream: Any) -> bool:
+    """Whether the status line may rewrite itself in place (``\\r``).
+
+    Only an interactive terminal gets carriage-return rewriting; piped
+    output, CI logs, ``NO_COLOR`` (https://no-color.org — users asking
+    for dumb output), and ``TERM=dumb`` all get plain newline-delimited
+    lines so the log stays greppable.
+    """
+    if os.environ.get("NO_COLOR"):
+        return False
+    if os.environ.get("TERM", "").strip().lower() == "dumb":
+        return False
+    isatty = getattr(stream, "isatty", None)
+    try:
+        return bool(isatty and isatty())
+    except Exception:  # noqa: BLE001 — exotic stream objects
+        return False
+
+
 class StatusAggregator:
     """Engine status derived purely from the event stream.
 
-    One implementation serves both the live path (subscribed to a bus,
-    feeding the metrics endpoint's gauges) and the offline path
-    (``repro top`` replaying a ledger): feed events in order via
-    :meth:`handle` and read ``running``/``done``/``failed``/``cached``/
-    :meth:`eta_seconds` at any point.
+    One implementation serves every reader: the live status line
+    (``run_suite(progress=...)``), the stale-task flags folded into the
+    :class:`~repro.analysis.parallel.FaultReport`, the metrics endpoint's
+    gauges and ``repro top`` replaying a ledger.  Feed events in order
+    via :meth:`handle`.  Every read and write holds :attr:`lock`; a
+    reader that needs several fields at once (the metrics endpoint)
+    holds it too, so it never races the drain loop's publishes.
+
+    With a ``clock`` the aggregator is *live*: a task's ``last_seen`` is
+    when its latest event arrived and ages/ETA run against ``clock()``,
+    so a skewed worker clock cannot make a task look stale.  Without one
+    (ledger replay) everything is measured in event timestamps.
+    :meth:`tick` flags running tasks silent for more than
+    ``stale_after`` seconds (advisory: the executor's timeout still
+    decides) and renders a throttled, change-only ``progress:`` line to
+    ``stream``.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        stream: Optional[TextIO] = None,
+        stale_after: Optional[float] = None,
+        throttle: float = 0.5,
+        clock: Optional[Callable[[], float]] = None,
+    ) -> None:
+        self.stream = stream
+        self.stale_after = stale_after
+        self.throttle = throttle
+        self.clock = clock
         self.total = 0
         self.done = 0
         self.failed = 0
@@ -599,11 +653,22 @@ class StatusAggregator:
         self.counts: Dict[str, int] = {}
         self.suites_started = 0
         self.suites_finished = 0
+        self.stale_tasks: List[str] = []
         self._state: Dict[str, Dict[str, Any]] = {}
         self._started_ts: Optional[float] = None
         self._last_ts: Optional[float] = None
+        self.lock = threading.RLock()
+        self._last_render = 0.0
+        self._last_line = ""
+        self._rewrite: Optional[bool] = None  # decided at first render
+        self._line_width = 0
 
     def handle(self, event: TelemetryEvent) -> None:
+        with self.lock:
+            self._handle(event)
+
+    def _handle(self, event: TelemetryEvent) -> None:
+        now = self.clock() if self.clock is not None else event.ts
         self.counts[event.type] = self.counts.get(event.type, 0) + 1
         if event.ts:
             self._last_ts = (
@@ -615,8 +680,8 @@ class StatusAggregator:
         if kind == "suite_started":
             self.suites_started += 1
             self.total += int(event.payload.get("n_tasks", 0) or 0)
-            if self._started_ts is None and event.ts:
-                self._started_ts = event.ts
+            if self._started_ts is None and now:
+                self._started_ts = now
             return
         if kind == "suite_finished":
             self.suites_finished += 1
@@ -627,16 +692,17 @@ class StatusAggregator:
                 self.cached += 1
             return
         if kind not in _LIFECYCLE_KINDS:
-            # Enrichment events (sanitizer, cache_miss/store, flight_dump)
-            # refresh an existing task's liveness but never invent a row.
+            # Enrichment events (sanitizer, cache_miss/store, flight_dump,
+            # span) refresh an existing task's liveness but never invent
+            # a row.
             state = self._state.get(label)
             if state is not None:
-                state["last_seen"] = max(state["last_seen"], event.ts)
+                state["last_seen"] = max(state["last_seen"], now)
             return
         state = self._state.setdefault(
-            label, {"status": "pending", "attempt": 0, "last_seen": event.ts}
+            label, {"status": "pending", "attempt": 0, "last_seen": now}
         )
-        state["last_seen"] = max(state["last_seen"], event.ts)
+        state["last_seen"] = max(state["last_seen"], now)
         if kind == "task_started":
             state["status"] = "running"
             state["attempt"] = event.attempt or 0
@@ -658,43 +724,125 @@ class StatusAggregator:
                 state["status"] = "cached"
                 self.done += 1
 
+    # -- reads (each one consistent: taken under the lock) -----------------
+
     @property
     def running(self) -> int:
-        return sum(
-            1 for s in self._state.values() if s["status"] == "running"
-        )
+        with self.lock:
+            return sum(
+                1 for s in self._state.values() if s["status"] == "running"
+            )
+
+    def _now(self) -> Optional[float]:
+        return self.clock() if self.clock is not None else self._last_ts
 
     def eta_seconds(self) -> Optional[float]:
-        if (
-            self.done <= 0
-            or self._started_ts is None
-            or self._last_ts is None
-        ):
-            return None
-        elapsed = self._last_ts - self._started_ts
-        if elapsed <= 0:
-            return None
-        remaining = max(0, self.total - self.done - self.failed)
-        return remaining * (elapsed / self.done)
+        with self.lock:
+            now = self._now()
+            if self.done <= 0 or self._started_ts is None or now is None:
+                return None
+            elapsed = now - self._started_ts
+            if elapsed <= 0:
+                return None
+            remaining = max(0, self.total - self.done - self.failed)
+            return remaining * (elapsed / self.done)
 
-    def status_line(self) -> str:
-        eta = self.eta_seconds()
-        eta_text = f"{eta:.0f}s" if eta is not None else "?"
-        return (
-            f"status: {self.done}/{self.total} done, "
-            f"{self.running} running, {self.failed} failed, "
-            f"{self.cached} cached, ETA {eta_text}"
-        )
+    def status_line(self, prefix: str = "status") -> str:
+        with self.lock:
+            eta = self.eta_seconds()
+            eta_text = f"{eta:.0f}s" if eta is not None else "?"
+            line = (
+                f"{prefix}: {self.done}/{self.total} done, "
+                f"{self.running} running, {self.failed} failed, "
+                f"{self.cached} cached, ETA {eta_text}"
+            )
+            if self.stale_tasks:
+                line += (
+                    f", {len(self.stale_tasks)} stale "
+                    f"({', '.join(self.stale_tasks[:3])}"
+                    + (", ..." if len(self.stale_tasks) > 3 else "")
+                    + ")"
+                )
+            return line
 
     def rows(self) -> List[List[Any]]:
         """Per-task table rows for ``repro top``: label/status/attempt/age."""
-        now = self._last_ts or 0.0
-        out = []
-        for label in sorted(self._state):
-            state = self._state[label]
-            age = max(0.0, now - state["last_seen"]) if state["last_seen"] else 0.0
-            out.append([label, state["status"], state["attempt"], f"{age:.1f}s"])
-        return out
+        with self.lock:
+            now = self._now() or 0.0
+            out = []
+            for label in sorted(self._state):
+                state = self._state[label]
+                age = (
+                    max(0.0, now - state["last_seen"])
+                    if state["last_seen"] else 0.0
+                )
+                out.append(
+                    [label, state["status"], state["attempt"], f"{age:.1f}s"]
+                )
+            return out
+
+    # -- live: stale detection + the rendered status line -------------------
+
+    def tick(self) -> None:
+        """Flag newly stale tasks, then render if the line is due."""
+        if self.stale_after is not None and self.clock is not None:
+            with self.lock:
+                now = self.clock()
+                for label, state in self._state.items():
+                    if (
+                        state["status"] == "running"
+                        and label not in self.stale_tasks
+                        and now - state["last_seen"] > self.stale_after
+                    ):
+                        self.stale_tasks.append(label)
+        self._render()
+
+    def close(self) -> None:
+        """Render the final summary line and end a rewriting line.
+
+        Always attempted, even when throttling suppressed every
+        intermediate render, so logs record the outcome; a closed stream
+        never raises.  Rendering state resets, so a session-wide
+        aggregator can render the next suite's line from scratch.
+        """
+        self._render(force=True)
+        if self._rewrite and self.stream is not None:
+            try:
+                self.stream.write("\n")
+                self.stream.flush()
+            except Exception:  # noqa: BLE001 — closed stream
+                pass
+        self._rewrite = None
+        self._line_width = 0
+        self._last_line = ""
+
+    def _render(self, force: bool = False) -> None:
+        # Callers serialize rendering: the drain thread ticks, and close()
+        # runs after the drain stopped.
+        if self.stream is None:
+            return
+        now = (self.clock or time.time)()
+        if not force and now - self._last_render < self.throttle:
+            return
+        line = self.status_line("progress")
+        if not force and line == self._last_line:
+            return
+        if self._rewrite is None:
+            self._rewrite = stream_supports_rewrite(self.stream)
+        self._last_render = now
+        self._last_line = line
+        try:
+            if self._rewrite:
+                # Rewrite in place, blank-padding any residue of a longer
+                # previous line; close() appends the terminating newline.
+                padding = " " * max(0, self._line_width - len(line))
+                self.stream.write("\r" + line + padding)
+                self.stream.flush()
+                self._line_width = len(line)
+            else:
+                print(line, file=self.stream, flush=True)
+        except Exception:  # noqa: BLE001 — closed stream must not kill a run
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +853,15 @@ class StatusAggregator:
 class EventBus:
     """Process-wide publish point: stamps, counts, persists, fans out.
 
-    ``emit`` assigns the monotonic ``seq`` and default wall/pid stamps,
-    feeds the flight-recorder ring and the status aggregator, appends to
-    the ledger (all under one lock, so ledger order == seq order within
-    this process), then notifies subscribers.  A subscriber exception is
-    swallowed: telemetry must never take the evaluation down.
+    ``publish`` assigns the monotonic ``seq``, feeds the flight-recorder
+    ring and the status aggregator, appends to the ledger (all under one
+    lock, so ledger order == seq order within this process), then
+    notifies subscribers (the Chrome-trace collector, tests).  A
+    subscriber exception is swallowed: telemetry must never take the
+    evaluation down.
+
+    ``tracing`` is set while a span collector is subscribed; only then
+    do parent and worker spans ride the bus as ``span`` events.
     """
 
     def __init__(
@@ -720,10 +872,12 @@ class EventBus:
     ) -> None:
         self.ledger = ledger
         self.flight = flight
-        self.status = status
-        self.counts: Dict[str, int] = {}
+        self.status = (
+            status if status is not None else StatusAggregator(clock=time.time)
+        )
+        self.tracing = False
         self._seq = 0
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self._subscribers: List[Callable[[TelemetryEvent], None]] = []
 
     @property
@@ -736,41 +890,22 @@ class EventBus:
     def subscribe(self, fn: Callable[[TelemetryEvent], None]) -> None:
         self._subscribers.append(fn)
 
-    def emit(
-        self,
-        type: str,
-        *,
-        label: str = "",
-        config: str = "",
-        workload: str = "",
-        run: str = "",
-        attempt: Optional[int] = None,
-        cycle: Optional[int] = None,
-        ts: Optional[float] = None,
-        pid: Optional[int] = None,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> TelemetryEvent:
-        if not config and not workload and label:
-            config, _, workload = label.partition("/")
-        event = TelemetryEvent(
-            type=str(type),
-            ts=float(ts) if ts is not None else time.time(),
-            pid=int(pid) if pid is not None else os.getpid(),
-            run=run or "",
-            config=config or "",
-            workload=workload or "",
-            attempt=attempt,
-            cycle=cycle,
-            payload=dict(payload) if payload else {},
-        )
-        with self._lock:
+    def unsubscribe(self, fn: Callable[[TelemetryEvent], None]) -> None:
+        if fn in self._subscribers:
+            self._subscribers.remove(fn)
+
+    def emit(self, type: str, **fields: Any) -> TelemetryEvent:
+        """Build (see :func:`make_event`) and publish one event."""
+        return self.publish(make_event(type, **fields))
+
+    def publish(self, event: TelemetryEvent) -> TelemetryEvent:
+        """Sequence and fan out an already-built event."""
+        with self.lock:
             self._seq += 1
             event.seq = self._seq
-            self.counts[event.type] = self.counts.get(event.type, 0) + 1
             if self.flight is not None:
                 self.flight.record(event)
-            if self.status is not None:
-                self.status.handle(event)
+            self.status.handle(event)
             if self.ledger is not None:
                 self.ledger.append(event)
         for fn in list(self._subscribers):
@@ -785,17 +920,51 @@ class EventBus:
             self.ledger.close()
 
 
-def open_bus(
-    events_path: Optional[str] = None,
-    flight_capacity: Optional[int] = None,
-) -> EventBus:
+def make_event(
+    type: str,
+    *,
+    label: str = "",
+    ts: Optional[float] = None,
+    pid: Optional[int] = None,
+    payload: Optional[Dict[str, Any]] = None,
+    **fields: Any,
+) -> TelemetryEvent:
+    """An event stamped with this process's clock and pid.
+
+    ``label`` (the engine's ``config/workload``) fills ``config`` and
+    ``workload`` unless given; ``fields`` are the other
+    :class:`TelemetryEvent` fields (``run``, ``attempt``, ``cycle``).
+    """
+    if label and not fields.get("config") and not fields.get("workload"):
+        fields["config"], _, fields["workload"] = label.partition("/")
+    return TelemetryEvent(
+        type=str(type),
+        ts=time.time() if ts is None else float(ts),
+        pid=os.getpid() if pid is None else int(pid),
+        payload=dict(payload or {}),
+        **fields,
+    )
+
+
+def span_payload(
+    name: str,
+    cat: str,
+    start: float,
+    end: float,
+    status: str = "ok",
+    args: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The payload of one ``span`` event (``repro.obs.spans.Span`` fields)."""
+    return {
+        "name": name, "cat": cat, "start": start, "end": end,
+        "status": status, "args": dict(args or {}),
+    }
+
+
+def open_bus(events_path: Optional[str] = None) -> EventBus:
     """A ready-to-use bus: ledger (if a path is given) + flight + status."""
     ledger = EventLedger(events_path) if events_path else None
-    return EventBus(
-        ledger=ledger,
-        flight=FlightRecorder(capacity=flight_capacity),
-        status=StatusAggregator(),
-    )
+    return EventBus(ledger=ledger, flight=FlightRecorder())
 
 
 # -- process-wide slot ------------------------------------------------------
@@ -817,19 +986,33 @@ def set_event_bus(bus: Optional[Any]) -> Optional[Any]:
 
 
 # ---------------------------------------------------------------------------
-# engine plumbing: worker relay, monitor sink, attempt observer
+# the worker -> parent channel
 # ---------------------------------------------------------------------------
 
 
+class WorkerChannel(NamedTuple):
+    """The worker's end of the telemetry channel (picklable).
+
+    ``queue`` is a Manager queue proxy across processes or a
+    ``queue.Queue`` in-process; only ``TelemetryEvent.to_dict()`` dicts
+    cross it (the Manager server unpickles whatever crosses its proxy,
+    so plain dicts keep it free of repro imports).  ``spans`` asks the
+    worker to record its attempt's spans for a trace.
+    """
+
+    queue: Any
+    spans: bool
+
+
 class WorkerEventRelay:
-    """Worker-side stand-in for the bus: forwards over the progress queue.
+    """Worker-side stand-in for the bus: forwards over the channel queue.
 
     Installed (via :func:`set_event_bus`) around each task attempt by
-    ``execute_task_attempt`` when events are on, so worker-side
-    publishers — the sanitizer path in ``run_single`` — discover "the
-    bus" exactly like parent-side code does.  Each emit crosses the queue
-    as one opaque ``("bus", ...)`` progress event carrying the worker's
-    own pid/ts stamps; the parent bus assigns ``seq`` on arrival.
+    :func:`worker_attempt`, so worker-side publishers — the sanitizer
+    path in ``run_single`` — discover "the bus" exactly like
+    parent-side code does.  Each emit crosses the queue as one event
+    dict carrying the worker's own pid/ts stamps; the parent bus assigns
+    ``seq`` on arrival.
     """
 
     def __init__(self, queue: Any, label: str, attempt: Optional[int] = None):
@@ -837,144 +1020,172 @@ class WorkerEventRelay:
         self.label = label
         self.attempt = attempt
 
-    def emit(
-        self,
-        type: str,
-        *,
-        label: str = "",
-        config: str = "",
-        workload: str = "",
-        run: str = "",
-        attempt: Optional[int] = None,
-        cycle: Optional[int] = None,
-        ts: Optional[float] = None,
-        pid: Optional[int] = None,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        data = {
-            "type": str(type),
-            "label": label or self.label,
-            "config": config,
-            "workload": workload,
-            "run": run,
-            "attempt": self.attempt if attempt is None else attempt,
-            "cycle": cycle,
-            "ts": float(ts) if ts is not None else time.time(),
-            "pid": int(pid) if pid is not None else os.getpid(),
-            "payload": dict(payload) if payload else {},
-        }
+    def emit(self, type: str, **fields: Any) -> None:
+        fields["label"] = fields.get("label") or self.label
+        if fields.get("attempt") is None:
+            fields["attempt"] = self.attempt
         try:
-            self.queue.put(("bus", self.label, data["pid"], data["ts"], {"event": data}))
+            self.queue.put(make_event(type, **fields).to_dict())
         except Exception:  # noqa: BLE001 — telemetry never kills a worker
             pass
 
 
-#: heartbeat progress-event kind -> canonical event type
-_KIND_TO_TYPE = {
-    "started": "task_started",
-    "heartbeat": "heartbeat",
-    "finished": "task_finished",
-    "failed": "task_failed",
-}
+@contextmanager
+def worker_attempt(channel: WorkerChannel, label: str, attempt: int) -> Iterator[None]:
+    """Worker side of one task attempt on the telemetry channel.
 
-
-def progress_event_sink(
-    bus: EventBus, label_keys: Optional[Dict[str, str]] = None
-) -> Callable[[Any], None]:
-    """A ``HeartbeatMonitor.sink`` translating progress events to the bus.
-
-    The monitor invokes the sink once per *queue-drained* event — the
-    parent-side ``note_cache_hit``/``note_quarantined`` shortcuts bypass
-    it, which is what keeps cache and quarantine events exactly-once
-    (they are published by the cache's ``publisher`` hook and the
-    :class:`EventObserver` respectively).
+    Publishes ``task_started``, beats while the body runs
+    (:class:`~repro.obs.heartbeat.HeartbeatPulse`), installs a
+    :class:`WorkerEventRelay` as the process bus, and ends with
+    ``task_finished`` or ``task_failed``.  When the channel asks for
+    spans, the attempt and its pipeline stages are recorded and a
+    successful attempt sends one ``span`` event per closed span before
+    ``task_finished`` — the result itself carries no telemetry.
     """
-    keys = label_keys or {}
+    from repro.obs.heartbeat import HeartbeatPulse, heartbeat_interval_from_env
 
-    def sink(progress_event: Any) -> None:
+    relay = WorkerEventRelay(channel.queue, label, attempt)
+    relay.emit("task_started")
+    pulse = HeartbeatPulse(relay, label, heartbeat_interval_from_env())
+    pulse.start()
+    previous_bus = set_event_bus(relay)
+    recorder = None
+    try:
+        if channel.spans:
+            from repro.obs.spans import worker_span_scope
+
+            with worker_span_scope() as recorder:
+                with recorder.span(
+                    "attempt", cat="worker", label=label, attempt=attempt
+                ):
+                    yield
+        else:
+            yield
+    except BaseException:
+        relay.emit("task_failed")
+        raise
+    finally:
+        set_event_bus(previous_bus)
+        pulse.stop()
+    for span in recorder.spans if recorder is not None else ():
+        relay.emit("span", payload=span_payload(
+            span.name, span.cat, span.start, span.end, span.status, span.args
+        ))
+    relay.emit("task_finished")
+
+
+class TelemetryDrain(threading.Thread):
+    """Parent end of the channel: the one drain loop (a daemon thread).
+
+    Every ``poll`` seconds it empties the queue, rebuilds each dict with
+    :meth:`TelemetryEvent.from_dict` (malformed records are dropped),
+    stamps the task's run key from ``label_keys`` and publishes it on
+    the bus, then ticks the status aggregator.  :meth:`close` stops the
+    thread and drains what is left — guarded, since a Manager killed by
+    Ctrl-C raises on every read.
+    """
+
+    def __init__(
+        self,
+        queue: Any,
+        bus: EventBus,
+        label_keys: Optional[Dict[str, str]] = None,
+        poll: float = 0.2,
+    ) -> None:
+        super().__init__(daemon=True, name="telemetry-drain")
+        self.queue = queue
+        self.bus = bus
+        self.label_keys = label_keys or {}
+        self.poll = poll
+        self._done = threading.Event()
+
+    def run(self) -> None:
+        while not self._done.wait(self.poll):
+            self.pump()
+
+    def pump(self) -> None:
+        while True:
+            try:
+                data = self.queue.get_nowait()
+            except Exception:  # noqa: BLE001 — Empty, broken proxy, ...
+                break
+            try:
+                event = TelemetryEvent.from_dict(data)
+            except ValueError:
+                continue  # telemetry is advisory: drop, never die
+            if not event.run:
+                event.run = self.label_keys.get(event.label, "")
+            try:
+                self.bus.publish(event)
+            except Exception:  # noqa: BLE001
+                logger.debug("drained event publish failed", exc_info=True)
+        self.bus.status.tick()
+
+    def close(self) -> None:
+        self._done.set()
         try:
-            kind, label, pid, when, payload = progress_event
-        except (TypeError, ValueError):
-            return
-        if kind == "bus":
-            data = dict(payload.get("event") or {})
-            type_ = data.pop("type", "") or "worker_event"
-            if not data.get("run"):
-                data["run"] = keys.get(data.get("label") or label, "")
-            bus.emit(type_, **data)
-            return
-        type_ = _KIND_TO_TYPE.get(kind)
-        if type_ is None:
-            return
-        extra = {k: v for k, v in payload.items() if k != "attempt"}
-        bus.emit(
-            type_,
-            label=label,
-            run=keys.get(label, ""),
-            attempt=payload.get("attempt"),
-            ts=when,
-            pid=pid,
-            payload=extra,
-        )
+            if self.is_alive():
+                self.join(timeout=2.0)
+            self.pump()
+        except Exception:  # noqa: BLE001 — teardown, dead manager queue
+            pass
 
-    return sink
+
+# ---------------------------------------------------------------------------
+# the executor's attempt observer
+# ---------------------------------------------------------------------------
 
 
 class EventObserver:
-    """An ``AttemptObserver`` publishing executor verdicts onto the bus.
+    """``map_resilient``'s observer: executor verdicts onto the bus.
 
     Covers what workers cannot report about themselves: timeouts, pool
     breaks, validation rejects (``attempt_failed``), retry backoffs, and
     quarantines — and triggers the flight-recorder dump for each, so a
     crash artifact exists even when the worker died without a word.
-
-    ``standalone=True`` additionally publishes ``task_started`` /
-    ``task_finished`` from the parent-side attempt window — for callers
-    (the guarded CLI paths) whose workers carry no progress queue.
+    While the bus is tracing it also sends each attempt window and
+    backoff sleep, as the parent observed them, as ``span`` events.
     """
 
     def __init__(
-        self,
-        bus: EventBus,
-        flight_dir: Optional[str] = None,
-        label_keys: Optional[Dict[str, str]] = None,
-        standalone: bool = False,
+        self, bus: EventBus, label_keys: Optional[Dict[str, str]] = None
     ) -> None:
         self.bus = bus
-        self.flight_dir = flight_dir
+        self.flight_dir = bus.flight_dir
         self.label_keys = label_keys or {}
-        self.standalone = standalone
         #: label -> flight-recording artifact path (folds into FaultReport)
         self.flight_paths: Dict[str, str] = {}
+        self._started: Dict[Any, float] = {}
 
-    # -- AttemptObserver protocol ------------------------------------------
+    # -- map_resilient's observer hooks -------------------------------------
 
     def attempt_started(self, label: str, attempt: int) -> None:
-        if self.standalone:
-            self.bus.emit(
-                "task_started",
-                label=label,
-                run=self.label_keys.get(label, ""),
-                attempt=attempt,
-            )
+        self._started[(label, attempt)] = time.time()
 
     def attempt_finished(
         self, label: str, attempt: int, ok: bool, error: Optional[str] = None
     ) -> None:
+        ended = time.time()
+        started = self._started.pop((label, attempt), ended)
+        run = self.label_keys.get(label, "")
+        if self.bus.tracing:
+            args: Dict[str, Any] = {"label": label, "attempt": attempt}
+            if error:
+                args["error"] = error
+            self.bus.emit(
+                "span", label=label, run=run, attempt=attempt,
+                payload=span_payload(
+                    "attempt", "executor", started, ended,
+                    "ok" if ok else "error", args,
+                ),
+            )
         if ok:
-            if self.standalone:
-                self.bus.emit(
-                    "task_finished",
-                    label=label,
-                    run=self.label_keys.get(label, ""),
-                    attempt=attempt,
-                )
             return
         reason = error or "attempt failed"
         self.bus.emit(
             "attempt_failed",
             label=label,
-            run=self.label_keys.get(label, ""),
+            run=run,
             attempt=attempt,
             payload={"error": reason},
         )
@@ -992,19 +1203,34 @@ class EventObserver:
                 "pending": pending,
             },
         )
+        if self.bus.tracing:
+            self.bus.emit("span", attempt=attempt, payload=span_payload(
+                "backoff", "executor", started, ended,
+                args={"attempt": attempt, "pending": pending},
+            ))
 
     # -- engine extras ------------------------------------------------------
 
-    def quarantined(self, label: str, attempts: int, error: str) -> None:
-        """Publish a final quarantine verdict (called once per task)."""
-        self.bus.emit(
-            "quarantined",
-            label=label,
-            run=self.label_keys.get(label, ""),
-            attempt=attempts,
-            payload={"error": error},
-        )
-        self._dump(label, attempts, f"quarantined: {error}")
+    def finish(self, report: Any) -> None:
+        """Publish final verdicts and link crash post-mortems.
+
+        One ``quarantined`` event per task in ``report.quarantined``;
+        the flight-recorder artifacts land in
+        ``report.flight_recordings``.
+        """
+        for failure in report.quarantined:
+            self.bus.emit(
+                "quarantined",
+                label=failure.label,
+                run=self.label_keys.get(failure.label, ""),
+                attempt=failure.attempts,
+                payload={"error": failure.error},
+            )
+            self._dump(
+                failure.label, failure.attempts,
+                f"quarantined: {failure.error}",
+            )
+        report.flight_recordings.update(self.flight_paths)
 
     def _dump(self, label: str, attempt: int, reason: str) -> None:
         if self.flight_dir is None or self.bus.flight is None:
@@ -1021,36 +1247,3 @@ class EventObserver:
             label=label,
             payload={"path": path, "reason": reason},
         )
-
-
-class _MultiObserver:
-    """Fan one AttemptObserver stream out to several observers."""
-
-    def __init__(self, observers: Sequence[Any]) -> None:
-        self.observers = list(observers)
-
-    def attempt_started(self, label: str, attempt: int) -> None:
-        for obs in self.observers:
-            obs.attempt_started(label, attempt)
-
-    def attempt_finished(
-        self, label: str, attempt: int, ok: bool, error: Optional[str] = None
-    ) -> None:
-        for obs in self.observers:
-            obs.attempt_finished(label, attempt, ok, error)
-
-    def backoff(
-        self, attempt: int, started: float, ended: float, pending: int
-    ) -> None:
-        for obs in self.observers:
-            obs.backoff(attempt, started, ended, pending)
-
-
-def compose_observers(*observers: Optional[Any]) -> Optional[Any]:
-    """Combine observers, dropping Nones; None when nothing remains."""
-    active = [obs for obs in observers if obs is not None]
-    if not active:
-        return None
-    if len(active) == 1:
-        return active[0]
-    return _MultiObserver(active)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.obs.events import StatusAggregator, read_events
 from repro.obs.registry import MetricsRegistry
@@ -37,32 +37,38 @@ __all__ = [
 ]
 
 
-def status_registry(
-    status: StatusAggregator,
-    counts: Optional[Dict[str, int]] = None,
-) -> MetricsRegistry:
-    """Engine gauges + per-type event counters as a metrics registry."""
+def status_registry(status: StatusAggregator) -> MetricsRegistry:
+    """Engine gauges + per-type event counters as a metrics registry.
+
+    Read under the aggregator's lock, which ``handle`` holds too, so a
+    live scrape never races the drain loop's publishes.
+    """
     registry = MetricsRegistry()
-    gauges = (
-        ("repro_engine_tasks_total", status.total, "tasks in the evaluation"),
-        ("repro_engine_done", status.done, "tasks completed (incl. cached)"),
-        ("repro_engine_running", status.running, "tasks currently running"),
-        ("repro_engine_failed", status.failed, "tasks quarantined"),
-        ("repro_engine_cached", status.cached, "run-cache hits served"),
-        ("repro_engine_suites_started", status.suites_started,
-         "suite evaluations begun"),
-        ("repro_engine_suites_finished", status.suites_finished,
-         "suite evaluations completed"),
-    )
+    with status.lock:
+        gauges = (
+            ("repro_engine_tasks_total", status.total,
+             "tasks in the evaluation"),
+            ("repro_engine_done", status.done,
+             "tasks completed (incl. cached)"),
+            ("repro_engine_running", status.running,
+             "tasks currently running"),
+            ("repro_engine_failed", status.failed, "tasks quarantined"),
+            ("repro_engine_cached", status.cached, "run-cache hits served"),
+            ("repro_engine_suites_started", status.suites_started,
+             "suite evaluations begun"),
+            ("repro_engine_suites_finished", status.suites_finished,
+             "suite evaluations completed"),
+        )
+        eta = status.eta_seconds()
+        counts = sorted(status.counts.items())
     for name, value, help_text in gauges:
         registry.register(name, float(value), kind="gauge", help=help_text)
-    eta = status.eta_seconds()
     if eta is not None:
         registry.register(
             "repro_engine_eta_seconds", float(eta), kind="gauge",
             help="estimated seconds until the evaluation completes",
         )
-    for type_, count in sorted((counts or status.counts).items()):
+    for type_, count in counts:
         registry.register(
             "repro_events_total", float(count), kind="counter",
             help="telemetry events published, by type",
@@ -75,8 +81,7 @@ def bus_metrics_source(bus) -> Callable[[], str]:
     """Scrape source rendering a live in-process EventBus."""
 
     def render() -> str:
-        status = bus.status or StatusAggregator()
-        return status_registry(status, bus.counts).to_prometheus_text()
+        return status_registry(bus.status).to_prometheus_text()
 
     return render
 

@@ -1,74 +1,39 @@
-"""Live progress heartbeats for the evaluation engine.
+"""Worker heartbeats for the evaluation engine.
 
-Workers emit small picklable progress events — task started (attempt N),
-periodic heartbeats while simulating, finished/failed — onto a
-``multiprocessing`` queue; the parent's :class:`HeartbeatMonitor` drains
-the queue, renders a throttled one-line status (done/running/failed/
-cached/ETA), and flags tasks whose heartbeat has gone *stale*: the
-worker stopped beating (killed, wedged interpreter, dead pulse thread)
-but the executor's ``REPRO_TASK_TIMEOUT`` has not fired yet.  Stale
-flags are advisory early warnings — they feed the
+While a task attempt runs, a :class:`HeartbeatPulse` daemon thread in
+the worker publishes a ``heartbeat`` event every
+``REPRO_HEARTBEAT_INTERVAL`` seconds over the telemetry channel (see
+:mod:`repro.obs.events`).  The parent's
+:class:`~repro.obs.events.StatusAggregator` flags a running task whose
+events stop for ``REPRO_HEARTBEAT_STALE`` seconds as *stale*: the
+worker was killed, its interpreter wedged or its pulse died, but the
+executor's ``REPRO_TASK_TIMEOUT`` has not fired yet.  Stale flags are
+advisory early warnings — they feed the
 :class:`~repro.analysis.parallel.FaultReport` (``heartbeat_stale`` /
 ``stale_tasks``) without failing the evaluation; the retry/timeout
 machinery still decides the task's fate.
 
-Everything here is opt-in (``run_suite(..., progress=True)`` or
-``REPRO_PROGRESS=1``) and touches no architectural state: a monitored
-run's ``SimStats.signature()`` is identical to an unmonitored one.
+Everything here is opt-in (``run_suite(..., progress=True)``,
+``REPRO_PROGRESS=1``, an event ledger or a trace) and touches no
+architectural state: a monitored run's ``SimStats.signature()`` is
+identical to an unmonitored one.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Optional
 
 __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL",
-    "HeartbeatMonitor",
     "HeartbeatPulse",
-    "emit_event",
     "heartbeat_interval_from_env",
     "stale_after_from_env",
-    "stream_supports_rewrite",
 ]
 
 #: Seconds between worker heartbeats (``REPRO_HEARTBEAT_INTERVAL``).
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
-
-#: A ProgressEvent is (kind, label, pid, epoch_seconds, payload) — plain
-#: tuples so they pickle through any multiprocessing queue flavor.
-ProgressEvent = Tuple[str, str, int, float, Dict[str, Any]]
-
-EVENT_KINDS = (
-    "started",      # worker began attempt N of a task
-    "heartbeat",    # worker still alive inside a task
-    "finished",     # worker completed a task attempt successfully
-    "failed",       # worker attempt raised (it will be retried/quarantined)
-    "cache_hit",    # parent served the task from the run cache
-    "quarantined",  # parent gave up on the task after every attempt
-    "bus",          # opaque relayed telemetry event (repro.obs.events)
-)
-
-
-def stream_supports_rewrite(stream: Any) -> bool:
-    """Whether the status line may rewrite itself in place (``\\r``).
-
-    Only an interactive terminal gets carriage-return rewriting; piped
-    output, CI logs, ``NO_COLOR`` (https://no-color.org — users asking
-    for dumb output), and ``TERM=dumb`` all get plain newline-delimited
-    lines so the log stays greppable.
-    """
-    if os.environ.get("NO_COLOR"):
-        return False
-    if os.environ.get("TERM", "").strip().lower() == "dumb":
-        return False
-    isatty = getattr(stream, "isatty", None)
-    try:
-        return bool(isatty and isatty())
-    except Exception:  # noqa: BLE001 — exotic stream objects
-        return False
 
 
 def _positive_float_env(name: str, default: float) -> float:
@@ -108,259 +73,28 @@ def stale_after_from_env(
     return 4.0 * interval
 
 
-def emit_event(queue: Any, kind: str, label: str, **payload: Any) -> None:
-    """Best-effort put: progress must never take a worker down."""
-    try:
-        queue.put((kind, label, os.getpid(), time.time(), payload))
-    except Exception:  # noqa: BLE001 — broken queue at shutdown, full, etc.
-        pass
-
-
 class HeartbeatPulse(threading.Thread):
     """Worker-side daemon thread beating while a task runs.
 
-    The pulse proves the *process* is alive; a wedged worker whose
-    interpreter still schedules threads keeps beating, but an OOM-killed
-    or ``os._exit``-ed worker goes silent — exactly the case the parent
-    wants to flag before its task timeout expires.
+    ``publisher`` is the worker's bus stand-in (a
+    :class:`~repro.obs.events.WorkerEventRelay`), whose ``emit`` never
+    raises.  The pulse proves the *process* is alive; a wedged worker
+    whose interpreter still schedules threads keeps beating, but an
+    OOM-killed or ``os._exit``-ed worker goes silent — exactly the case
+    the parent wants to flag before its task timeout expires.
     """
 
-    def __init__(self, queue: Any, label: str, interval: float) -> None:
+    def __init__(self, publisher: Any, label: str, interval: float) -> None:
         super().__init__(daemon=True, name=f"heartbeat-{label}")
-        self.queue = queue
+        self.publisher = publisher
         self.label = label
         self.interval = interval
         self._done = threading.Event()
 
     def run(self) -> None:
         while not self._done.wait(self.interval):
-            emit_event(self.queue, "heartbeat", self.label)
+            self.publisher.emit("heartbeat", label=self.label)
 
     def stop(self) -> None:
         self._done.set()
         self.join(timeout=2.0)
-
-
-class HeartbeatMonitor:
-    """Parent-side progress state + throttled status rendering.
-
-    Drive it either with :meth:`start`/:meth:`close` (a daemon thread
-    pumps the queue every ``poll`` seconds) or by calling :meth:`pump`
-    manually (tests use a fake ``clock``).  Parent-side events — cache
-    hits, quarantines — go through :meth:`note_cache_hit` /
-    :meth:`note_quarantined`; everything is serialized under one lock.
-    """
-
-    def __init__(
-        self,
-        total: int,
-        stream: Optional[TextIO] = None,
-        stale_after: float = 4.0 * DEFAULT_HEARTBEAT_INTERVAL,
-        throttle: float = 0.5,
-        clock=time.time,
-        poll: float = 0.2,
-    ) -> None:
-        self.total = total
-        self.stream = stream
-        self.stale_after = stale_after
-        self.throttle = throttle
-        self.clock = clock
-        self.poll = poll
-        self.queue: Optional[Any] = None
-        #: Optional per-event tap (``repro.obs.events.progress_event_sink``):
-        #: invoked once for every event drained from the queue — not for
-        #: the parent-side note_* shortcuts, which have their own
-        #: publishers.  Failures are swallowed; progress must never die.
-        self.sink: Optional[Callable[[ProgressEvent], None]] = None
-        self.done = 0
-        self.failed = 0
-        self.cache_hits = 0
-        self.stale_tasks: List[str] = []
-        self._state: Dict[str, Dict[str, Any]] = {}
-        self._stale_flagged: set = set()
-        self._lock = threading.Lock()
-        self._last_render = 0.0
-        self._last_line = ""
-        self._rewrite: Optional[bool] = None  # decided at first render
-        self._line_width = 0
-        self._started_at = clock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    # -- wiring -------------------------------------------------------------
-
-    def attach_queue(self, queue: Any) -> None:
-        self.queue = queue
-
-    def start(self) -> None:
-        """Begin pumping the queue from a daemon thread."""
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._loop, daemon=True, name="heartbeat-monitor"
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        """Stop the pump thread, drain what's left, render a final line.
-
-        Safe on any termination path — ``KeyboardInterrupt`` mid-suite, a
-        Manager whose process already died, a closed stream: every step
-        is guarded, the final summary line is *always* attempted (even
-        when throttling suppressed every intermediate render), and a
-        rewriting status line is terminated with a newline so the shell
-        prompt does not land mid-line.
-        """
-        self._stop.set()
-        thread = self._thread
-        self._thread = None
-        if thread is not None:
-            try:
-                thread.join(timeout=2.0)
-            except Exception:  # noqa: BLE001 — interpreter tearing down
-                pass
-        try:
-            self.pump()
-        except Exception:  # noqa: BLE001 — dead manager queue at shutdown
-            pass
-        self._render(force=True)
-        if self._rewrite and self.stream is not None:
-            try:
-                self.stream.write("\n")
-                self.stream.flush()
-            except Exception:  # noqa: BLE001 — closed stream
-                pass
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.poll):
-            self.pump()
-
-    # -- event intake -------------------------------------------------------
-
-    def pump(self) -> None:
-        """Drain pending events, refresh staleness, maybe render."""
-        queue = self.queue
-        if queue is not None:
-            while True:
-                try:
-                    event = queue.get_nowait()
-                except Exception:  # noqa: BLE001 — Empty, broken proxy, ...
-                    break
-                self._handle(event)
-                if self.sink is not None:
-                    try:
-                        self.sink(event)
-                    except Exception:  # noqa: BLE001 — telemetry is advisory
-                        pass
-        with self._lock:
-            self._check_stale()
-        self._render()
-
-    def note_cache_hit(self, label: str) -> None:
-        self._handle(("cache_hit", label, os.getpid(), self.clock(), {}))
-
-    def note_quarantined(self, label: str) -> None:
-        self._handle(("quarantined", label, os.getpid(), self.clock(), {}))
-
-    def _handle(self, event: ProgressEvent) -> None:
-        try:
-            kind, label, pid, _when, payload = event
-        except (TypeError, ValueError):
-            return  # malformed event: progress is advisory, never fatal
-        now = self.clock()
-        with self._lock:
-            state = self._state.setdefault(
-                label, {"status": "pending", "attempt": 0, "last_seen": now}
-            )
-            state["last_seen"] = now
-            state["pid"] = pid
-            if kind == "started":
-                state["status"] = "running"
-                state["attempt"] = payload.get("attempt", 0)
-            elif kind == "heartbeat":
-                pass  # last_seen refresh is the whole message
-            elif kind == "finished":
-                if state["status"] != "done":
-                    state["status"] = "done"
-                    self.done += 1
-            elif kind == "failed":
-                # The attempt failed; the executor decides whether it
-                # retries, so the task goes back to pending, not failed.
-                state["status"] = "pending"
-            elif kind == "cache_hit":
-                if state["status"] != "done":
-                    state["status"] = "done"
-                    self.done += 1
-                    self.cache_hits += 1
-            elif kind == "quarantined":
-                if state["status"] != "quarantined":
-                    state["status"] = "quarantined"
-                    self.failed += 1
-
-    def _check_stale(self) -> None:
-        now = self.clock()
-        for label, state in self._state.items():
-            if state["status"] != "running" or label in self._stale_flagged:
-                continue
-            if now - state["last_seen"] > self.stale_after:
-                self._stale_flagged.add(label)
-                self.stale_tasks.append(label)
-
-    # -- rendering ----------------------------------------------------------
-
-    @property
-    def running(self) -> int:
-        with self._lock:
-            return sum(
-                1 for s in self._state.values() if s["status"] == "running"
-            )
-
-    def eta_seconds(self) -> Optional[float]:
-        elapsed = self.clock() - self._started_at
-        if self.done <= 0 or elapsed <= 0:
-            return None
-        remaining = max(0, self.total - self.done - self.failed)
-        return remaining * (elapsed / self.done)
-
-    def status_line(self) -> str:
-        eta = self.eta_seconds()
-        eta_text = f"{eta:.0f}s" if eta is not None else "?"
-        line = (
-            f"progress: {self.done}/{self.total} done, "
-            f"{self.running} running, {self.failed} failed, "
-            f"{self.cache_hits} cached, ETA {eta_text}"
-        )
-        if self.stale_tasks:
-            line += (
-                f", {len(self.stale_tasks)} stale "
-                f"({', '.join(self.stale_tasks[:3])}"
-                + (", ..." if len(self.stale_tasks) > 3 else "")
-                + ")"
-            )
-        return line
-
-    def _render(self, force: bool = False) -> None:
-        if self.stream is None:
-            return
-        now = self.clock()
-        if not force and now - self._last_render < self.throttle:
-            return
-        line = self.status_line()
-        if not force and line == self._last_line:
-            return
-        if self._rewrite is None:
-            self._rewrite = stream_supports_rewrite(self.stream)
-        self._last_render = now
-        self._last_line = line
-        try:
-            if self._rewrite:
-                # Rewrite in place, blank-padding any residue of a longer
-                # previous line; close() appends the terminating newline.
-                padding = " " * max(0, self._line_width - len(line))
-                self.stream.write("\r" + line + padding)
-                self.stream.flush()
-                self._line_width = len(line)
-            else:
-                print(line, file=self.stream, flush=True)
-        except Exception:  # noqa: BLE001 — closed stream must not kill a run
-            pass

@@ -18,13 +18,14 @@ Mechanics mirror the rest of ``repro.obs``:
   through ``sys.modules`` so an untraced process never pays the import.
   ``tests/test_obs.py`` asserts bit-identity against a process that
   never imports ``repro.obs.spans``.
-* **Workers record locally, the parent merges.**  A worker builds a
-  :class:`SpanRecorder`, wraps its attempt, bridges the pipeline
-  ``stage()`` blocks via :class:`SpanStages`, and ships a picklable
-  :class:`SpanBatch` back on the ``SimResult``.  The parent's
-  :class:`SuiteSpanCollector` normalizes each batch's clock against the
-  attempt window it observed (see :func:`normalize_batch`) so skewed
-  worker clocks cannot produce spans outside their enclosing task.
+* **Spans ride the one telemetry channel.**  A worker records its
+  attempt and bridges the pipeline ``stage()`` blocks via
+  :class:`SpanStages`; a successful attempt sends one ``span`` event
+  per closed span over the worker channel (:mod:`repro.obs.events`).
+  The parent's :class:`SuiteSpanCollector` subscribes to the bus and
+  normalizes each worker's spans against the attempt window the parent
+  observed (see :func:`normalize_batch`), so skewed worker clocks
+  cannot produce spans outside their enclosing task.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Span",
-    "SpanBatch",
     "SpanRecorder",
     "SpanStages",
     "SuiteSpanCollector",
@@ -77,27 +77,11 @@ class Span:
         return replace(self, start=self.start + offset, end=self.end + offset)
 
 
-@dataclass
-class SpanBatch:
-    """Picklable bundle of one process's spans, shipped parent-ward.
-
-    ``role`` labels the process in the merged trace ("worker"/"suite");
-    ``sent_at`` is the sender's clock at batch creation, kept so the
-    merge can reason about clock offsets.
-    """
-
-    pid: int
-    role: str
-    spans: List[Span]
-    sent_at: float
-
-
 class SpanRecorder:
     """Collects spans for one process.
 
-    Recording is append-only and cheap (one list append per span); the
-    recorder itself is *not* shipped across processes — use
-    :meth:`batch` for that.
+    Recording is append-only and cheap (one list append per span); a
+    worker's spans reach the parent as ``span`` events.
     """
 
     def __init__(self, role: str = "suite") -> None:
@@ -147,13 +131,6 @@ class SpanRecorder:
             )
             raise
         self.add(name, started, time.time(), cat=cat, tid=tid, **extra)
-
-    def batch(self) -> SpanBatch:
-        """A picklable snapshot of everything recorded so far."""
-        return SpanBatch(
-            pid=self.pid, role=self.role, spans=list(self.spans),
-            sent_at=time.time(),
-        )
 
 
 # -- the process-wide recorder slot -----------------------------------------
@@ -241,11 +218,11 @@ def worker_span_scope(role: str = "worker") -> Iterator[SpanRecorder]:
 
 
 def normalize_batch(
-    batch: SpanBatch,
+    batch: List[Span],
     window_start: Optional[float] = None,
     window_end: Optional[float] = None,
 ) -> Tuple[List[Span], float]:
-    """Shift a worker batch's spans into the parent's observation window.
+    """Shift one worker attempt's spans into the parent's observation window.
 
     Processes on one host *should* agree on ``time.time``, but NTP
     steps, container clock namespaces, and coarse clock sources all
@@ -262,10 +239,10 @@ def normalize_batch(
     Returns the shifted spans and the offset applied (seconds; 0.0 for
     a well-behaved clock).
     """
-    if not batch.spans:
+    if not batch:
         return [], 0.0
-    earliest = min(s.start for s in batch.spans)
-    latest = max(s.end for s in batch.spans)
+    earliest = min(s.start for s in batch)
+    latest = max(s.end for s in batch)
     offset = 0.0
     if window_start is not None and earliest < window_start:
         offset = window_start - earliest
@@ -273,26 +250,28 @@ def normalize_batch(
         offset = window_end - latest
         if window_start is not None and earliest + offset < window_start:
             offset = window_start - earliest
-    return [s.shifted(offset) for s in batch.spans], offset
+    return [s.shifted(offset) for s in batch], offset
 
 
 class SuiteSpanCollector:
-    """Parent-side span assembly for one suite evaluation.
+    """Parent-side span assembly: a bus subscriber (``handle``).
 
-    Doubles as the executor's attempt observer (see
-    ``repro.analysis.parallel.map_resilient``): every attempt — including
-    ones that crashed, timed out, or returned a corrupt result — becomes
-    a span, error-tagged with the failure text, so the merged trace
-    matches the :class:`~repro.analysis.parallel.FaultReport`.  Worker
-    batches are merged via :func:`normalize_batch` against the attempt
-    window the parent observed for that task.
+    Every ``span`` event becomes a :class:`Span`.  The parent's own
+    spans are recorded as they arrive: each executor attempt —
+    including ones that crashed, timed out, or returned a corrupt
+    result — error-tagged with the failure text, so the merged trace
+    matches the :class:`~repro.analysis.parallel.FaultReport`.  Spans
+    from another process are held back until :meth:`finish`, which
+    merges those of each task's accepted attempt via
+    :func:`normalize_batch` against the attempt window the parent
+    observed, then adds one summary span per task.
     """
 
     def __init__(self, recorder: SpanRecorder) -> None:
         self.recorder = recorder
         self.clock_offsets: Dict[int, float] = {}
-        self._attempt_started: Dict[Tuple[str, int], float] = {}
-        self._windows: Dict[str, Tuple[float, float]] = {}
+        self._windows: Dict[str, Tuple[int, float, float]] = {}
+        self._worker_spans: Dict[Tuple[str, Optional[int], int], List[Span]] = {}
         self._tasks: Dict[str, Dict[str, Any]] = {}
         self._lanes: Dict[str, int] = {}
         self._roles: Dict[int, str] = {recorder.pid: recorder.role}
@@ -304,66 +283,49 @@ class SuiteSpanCollector:
             self._lanes[label] = 2 + len(self._lanes)
         return self._lanes[label]
 
-    # -- observer protocol (called by map_resilient) ------------------------
-
-    def attempt_started(self, label: str, attempt: int) -> None:
-        self._attempt_started[(label, attempt)] = time.time()
-
-    def attempt_finished(
-        self, label: str, attempt: int, ok: bool, error: Optional[str] = None
-    ) -> None:
-        ended = time.time()
-        started = self._attempt_started.pop((label, attempt), ended)
-        args: Dict[str, Any] = {"label": label, "attempt": attempt}
-        if error:
-            args["error"] = error
-        self.recorder.add(
-            "attempt", started, ended, cat="executor",
-            status="ok" if ok else "error", tid=self._lane(label), **args,
-        )
-        if ok:
-            self._windows[label] = (started, ended)
-        task = self._tasks.setdefault(
-            label, {"start": started, "end": ended, "attempts": 0, "ok": ok},
-        )
-        task["start"] = min(task["start"], started)
-        task["end"] = max(task["end"], ended)
-        task["attempts"] += 1
-        task["ok"] = ok
-
-    def backoff(
-        self, attempt: int, started: float, ended: float, pending: int
-    ) -> None:
-        self.recorder.add(
-            "backoff", started, ended, cat="executor",
-            attempt=attempt, pending=pending,
-        )
-
-    # -- parent-side engine hooks -------------------------------------------
-
-    def cache_lookup(
-        self, label: str, hit: bool, started: float, ended: float
-    ) -> None:
-        self.recorder.add(
-            "cache_lookup", started, ended, cat="cache",
-            label=label, hit=hit,
-        )
-        if hit:
+    def handle(self, event: Any) -> None:
+        if event.type != "span":
+            return
+        span = Span(pid=event.pid, **event.payload)
+        label = event.label
+        if event.pid != self.recorder.pid:
+            key = (label, event.attempt, event.pid)
+            self._worker_spans.setdefault(key, []).append(span)
+            return
+        if span.cat == "executor" and span.name == "attempt":
+            span.tid = self._lane(label)
+            ok = span.status == "ok"
+            if ok:
+                self._windows[label] = (event.attempt, span.start, span.end)
             task = self._tasks.setdefault(
-                label, {"start": started, "end": ended, "attempts": 0, "ok": True},
+                label, {"start": span.start, "end": span.end, "attempts": 0},
             )
-            task.setdefault("cached", True)
-
-    def add_batch(self, batch: SpanBatch, label: str) -> None:
-        """Merge a worker's spans, clock-normalized to ``label``'s window."""
-        window = self._windows.get(label, (None, None))
-        spans, offset = normalize_batch(batch, window[0], window[1])
-        self.recorder.spans.extend(spans)
-        self.clock_offsets[batch.pid] = offset
-        self._roles.setdefault(batch.pid, batch.role)
+            task["start"] = min(task["start"], span.start)
+            task["end"] = max(task["end"], span.end)
+            task["attempts"] += 1
+            task["ok"] = ok
+        elif span.cat == "cache" and span.args.get("hit"):
+            self._tasks.setdefault(
+                label, {"start": span.start, "end": span.end, "attempts": 0,
+                        "ok": True, "cached": True},
+            )
+        self.recorder.spans.append(span)
 
     def finish(self) -> None:
-        """Emit the per-task summary spans (after all attempts resolved)."""
+        """Merge worker spans and emit the per-task summary spans.
+
+        Call after all attempts resolved.  Only the spans of the attempt
+        the executor accepted are merged, as one batch per worker.
+        """
+        for (label, attempt, pid), spans in self._worker_spans.items():
+            window = self._windows.get(label)
+            if window is None or window[0] != attempt:
+                continue  # a late worker of an abandoned attempt
+            shifted, offset = normalize_batch(spans, window[1], window[2])
+            self.recorder.spans.extend(shifted)
+            self.clock_offsets[pid] = offset
+            self._roles.setdefault(pid, "worker")
+        self._worker_spans.clear()
         for label in sorted(self._tasks):
             task = self._tasks[label]
             args: Dict[str, Any] = {"label": label, "attempts": task["attempts"]}

@@ -447,6 +447,62 @@ class TestRunSuiteIntegration:
         assert counts["task_finished"] == 1
         assert counts["suite_started"] == counts["suite_finished"] == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exactly_once_with_every_consumer(self, tmp_path, monkeypatch,
+                                              jobs):
+        """Ledger, progress line and Chrome trace on at once, every
+        attempt crashing: each consumer reports the same faults."""
+        import io
+        import re
+
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0:all")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
+        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
+        path = str(tmp_path / "ev.jsonl")
+        trace_path = tmp_path / "trace.json"
+        stream = io.StringIO()
+        evaluation = run_suite(
+            [SPEC_A], ["no", "next_line"], warmup_instructions=WARMUP,
+            include_baseline=False, jobs=jobs, cache=None,
+            progress=stream, events_path=path, trace_path=str(trace_path),
+        )
+        faults = evaluation.faults
+        assert len(faults.quarantined) == 2
+        assert faults.attempts == 4  # every attempt failed
+        counts = self._counts(path)
+        trace = json.loads(trace_path.read_text())
+        error_attempts = [
+            e for e in trace["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "attempt"
+            and e["args"]["status"] == "error"
+        ]
+        assert counts["attempt_failed"] == len(error_attempts)
+        assert len(error_attempts) == faults.attempts
+        assert counts["quarantined"] == len(faults.quarantined)
+        last = stream.getvalue().strip().splitlines()[-1]
+        failed = int(re.search(r"(\d+) failed", last).group(1))
+        assert last.startswith("progress:")
+        assert failed == len(faults.quarantined)
+
+        # Without faults, every consumer on leaves results bit-identical.
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+
+        def signatures(**telemetry):
+            evaluation = run_suite(
+                [SPEC_A], ["no", "next_line"], warmup_instructions=WARMUP,
+                include_baseline=False, jobs=jobs, cache=None, **telemetry,
+            )
+            assert evaluation.is_complete()
+            return {
+                config: {w: r.stats.signature() for w, r in per.items()}
+                for config, per in evaluation.runs.items()
+            }
+
+        assert signatures() == signatures(
+            progress=io.StringIO(), events_path=str(tmp_path / "ok.jsonl"),
+            trace_path=str(tmp_path / "ok.json"),
+        )
+
     def test_repro_events_env_var_enables_ledger(self, tmp_path, monkeypatch):
         path = str(tmp_path / "env.jsonl")
         monkeypatch.setenv("REPRO_EVENTS", path)
@@ -591,6 +647,37 @@ class TestMetricsEndpoint:
         assert "repro_engine_tasks_total 2" in body
         assert "repro_engine_done 1" in body
         assert 'repro_events_total{type="task_finished"} 1' in body
+
+    def test_bus_source_renders_while_bus_publishes(self):
+        """Regression: the live source read the aggregator's task table
+        unlocked, so a scrape during a publish burst raised
+        ``RuntimeError: dictionary changed size during iteration``."""
+        import threading
+
+        from repro.obs.exporthttp import bus_metrics_source
+
+        bus = open_bus(None)
+        render = bus_metrics_source(bus)
+        n_events = 20_000
+
+        def writer():
+            for i in range(n_events):
+                bus.emit("task_started", label=f"cfg/w{i}")
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        errors = []
+        renders = 0
+        while thread.is_alive():
+            try:
+                render()
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+            renders += 1
+        thread.join()
+        assert errors == []
+        assert renders > 0
+        assert f"repro_engine_running {n_events}" in render()
 
     def test_ledger_source_and_health_endpoints(self, tmp_path):
         from repro.obs.exporthttp import (

@@ -1,8 +1,13 @@
-"""Tests for live progress heartbeats (repro.obs.heartbeat).
+"""Tests for heartbeats and the live status line.
 
-The monitor's state machine is driven with a fake clock and a plain
-``queue.Queue`` so transitions, staleness, and throttled rendering are
-deterministic; integration tests check the status line surfaces through
+Worker heartbeats (:mod:`repro.obs.heartbeat`) and the live status line
+both run on the one telemetry channel: worker event dicts go through a
+:class:`~repro.obs.events.TelemetryDrain` onto the bus, whose
+:class:`~repro.obs.events.StatusAggregator` counts the task lifecycle,
+flags stale tasks and renders the throttled ``progress:`` line.  The
+state machine is driven with a fake clock and a plain ``queue.Queue``
+so transitions, staleness, and throttled rendering are deterministic;
+integration tests check the status line surfaces through
 ``run_suite(..., progress=...)`` and that stale flags fold into the
 ``FaultReport`` as advisory telemetry.
 """
@@ -18,14 +23,20 @@ import textwrap
 import pytest
 
 from repro.analysis.experiments import run_suite
+from repro.obs.events import (
+    EventBus,
+    StatusAggregator,
+    TelemetryDrain,
+    TelemetryEvent,
+    WorkerEventRelay,
+    make_event,
+    stream_supports_rewrite,
+)
 from repro.obs.heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
-    HeartbeatMonitor,
     HeartbeatPulse,
-    emit_event,
     heartbeat_interval_from_env,
     stale_after_from_env,
-    stream_supports_rewrite,
 )
 from repro.workloads.generators import WorkloadSpec
 
@@ -43,10 +54,6 @@ class FakeClock:
         self.now += seconds
 
 
-def _event(kind, label, when, **payload):
-    return (kind, label, 12345, when, payload)
-
-
 class FakeTTY(io.StringIO):
     """A StringIO that claims to be an interactive terminal."""
 
@@ -54,20 +61,43 @@ class FakeTTY(io.StringIO):
         return True
 
 
-class TestEmitEvent:
-    def test_puts_tuple_on_queue(self):
-        q = queue.Queue()
-        emit_event(q, "started", "cfg/w", attempt=1)
-        kind, label, pid, when, payload = q.get_nowait()
-        assert (kind, label, payload) == ("started", "cfg/w", {"attempt": 1})
-        assert pid > 0 and when > 0
+class Channel:
+    """A status aggregator fed through the real drain loop.
 
+    ``put`` enqueues a worker event dict exactly as a worker would;
+    ``pump`` runs one drain pass (publish + status tick).
+    """
+
+    def __init__(self, total=3, stream=None, stale_after=10.0,
+                 throttle=0.0):
+        self.clock = FakeClock()
+        self.status = StatusAggregator(
+            stream=stream, stale_after=stale_after, throttle=throttle,
+            clock=self.clock,
+        )
+        self.bus = EventBus(status=self.status)
+        self.queue = queue.Queue()
+        self.drain = TelemetryDrain(self.queue, self.bus)
+        self.bus.emit("suite_started", payload={"n_tasks": total})
+
+    def put(self, type_, label, attempt=None):
+        self.queue.put(make_event(
+            type_, label=label, attempt=attempt, ts=self.clock.now,
+            pid=12345,
+        ).to_dict())
+
+    def pump(self):
+        self.drain.pump()
+
+
+class TestEmitEvent:
     def test_broken_queue_is_swallowed(self):
         class Broken:
             def put(self, item):
                 raise RuntimeError("queue torn down")
 
-        emit_event(Broken(), "heartbeat", "cfg/w")  # must not raise
+        # The worker relay must not raise.
+        WorkerEventRelay(Broken(), "cfg/w").emit("heartbeat")
 
 
 class TestEnvParsing:
@@ -96,132 +126,125 @@ class TestEnvParsing:
 class TestHeartbeatPulse:
     def test_beats_until_stopped(self):
         q = queue.Queue()
-        pulse = HeartbeatPulse(q, "cfg/w", interval=0.01)
+        pulse = HeartbeatPulse(
+            WorkerEventRelay(q, "cfg/w", attempt=1), "cfg/w", interval=0.01
+        )
         pulse.start()
-        kind, label, _pid, _when, _payload = q.get(timeout=2.0)
-        assert (kind, label) == ("heartbeat", "cfg/w")
+        event = TelemetryEvent.from_dict(q.get(timeout=2.0))
+        assert (event.type, event.label, event.attempt) == (
+            "heartbeat", "cfg/w", 1,
+        )
+        assert event.pid == os.getpid()
         pulse.stop()
         assert not pulse.is_alive()
 
 
 class TestHeartbeatMonitor:
-    def _monitor(self, total=3, stream=None, stale_after=10.0):
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(
-            total, stream=stream, stale_after=stale_after,
-            throttle=0.0, clock=clock,
-        )
-        monitor.attach_queue(queue.Queue())
-        return monitor, clock
-
     def test_lifecycle_counters_and_status_line(self):
-        monitor, clock = self._monitor(total=3)
-        monitor.queue.put(_event("started", "a", clock.now, attempt=0))
-        monitor.queue.put(_event("started", "b", clock.now, attempt=0))
-        monitor.pump()
-        assert monitor.running == 2
-        clock.advance(2.0)
-        monitor.queue.put(_event("finished", "a", clock.now))
-        monitor.pump()
-        assert (monitor.done, monitor.running, monitor.failed) == (1, 1, 0)
-        line = monitor.status_line()
+        ch = Channel(total=3)
+        ch.put("task_started", "a", attempt=0)
+        ch.put("task_started", "b", attempt=0)
+        ch.pump()
+        assert ch.status.running == 2
+        ch.clock.advance(2.0)
+        ch.put("task_finished", "a")
+        ch.pump()
+        status = ch.status
+        assert (status.done, status.running, status.failed) == (1, 1, 0)
+        line = status.status_line("progress")
         assert line.startswith("progress: 1/3 done, 1 running, 0 failed")
         # ETA: 1 done in 2s -> 2 remaining at 2s each.
         assert "ETA 4s" in line
 
     def test_failed_attempt_returns_task_to_pending(self):
-        monitor, clock = self._monitor()
-        monitor.queue.put(_event("started", "a", clock.now, attempt=0))
-        monitor.queue.put(_event("failed", "a", clock.now, attempt=0))
-        monitor.pump()
-        assert monitor.running == 0
-        assert monitor.failed == 0  # the executor may still retry it
-        monitor.queue.put(_event("started", "a", clock.now, attempt=1))
-        monitor.queue.put(_event("finished", "a", clock.now, attempt=1))
-        monitor.pump()
-        assert monitor.done == 1
+        ch = Channel()
+        ch.put("task_started", "a", attempt=0)
+        ch.put("task_failed", "a", attempt=0)
+        ch.pump()
+        assert ch.status.running == 0
+        assert ch.status.failed == 0  # the executor may still retry it
+        ch.put("task_started", "a", attempt=1)
+        ch.put("task_finished", "a", attempt=1)
+        ch.pump()
+        assert ch.status.done == 1
 
     def test_cache_hits_and_quarantine_are_parent_side(self):
-        monitor, _clock = self._monitor(total=2)
-        monitor.note_cache_hit("a")
-        monitor.note_quarantined("b")
-        assert (monitor.done, monitor.cache_hits, monitor.failed) == (1, 1, 1)
-        assert "1 cached" in monitor.status_line()
-        monitor.note_quarantined("b")  # idempotent
-        assert monitor.failed == 1
+        ch = Channel(total=2)
+        ch.bus.emit("cache_hit", label="a")
+        ch.bus.emit("quarantined", label="b")
+        status = ch.status
+        assert (status.done, status.cached, status.failed) == (1, 1, 1)
+        assert "1 cached" in status.status_line("progress")
+        ch.bus.emit("quarantined", label="b")  # idempotent
+        assert status.failed == 1
 
     def test_duplicate_finished_counts_once(self):
-        monitor, clock = self._monitor()
-        monitor.queue.put(_event("finished", "a", clock.now))
-        monitor.queue.put(_event("finished", "a", clock.now))
-        monitor.pump()
-        assert monitor.done == 1
+        ch = Channel()
+        ch.put("task_finished", "a")
+        ch.put("task_finished", "a")
+        ch.pump()
+        assert ch.status.done == 1
 
     def test_eta_unknown_before_first_completion(self):
-        monitor, _clock = self._monitor()
-        assert monitor.eta_seconds() is None
-        assert "ETA ?" in monitor.status_line()
+        ch = Channel()
+        assert ch.status.eta_seconds() is None
+        assert "ETA ?" in ch.status.status_line("progress")
 
     def test_stale_detection_and_heartbeat_refresh(self):
-        monitor, clock = self._monitor(stale_after=5.0)
-        monitor.queue.put(_event("started", "slow", clock.now, attempt=0))
-        monitor.pump()
-        clock.advance(4.0)
-        monitor.queue.put(_event("heartbeat", "slow", clock.now))
-        monitor.pump()
-        assert monitor.stale_tasks == []  # the beat refreshed last_seen
-        clock.advance(5.1)
-        monitor.pump()
-        assert monitor.stale_tasks == ["slow"]
-        assert "1 stale (slow)" in monitor.status_line()
-        clock.advance(10.0)
-        monitor.pump()
-        assert monitor.stale_tasks == ["slow"]  # flagged once, not per pump
+        ch = Channel(stale_after=5.0)
+        ch.put("task_started", "slow", attempt=0)
+        ch.pump()
+        ch.clock.advance(4.0)
+        ch.put("heartbeat", "slow")
+        ch.pump()
+        assert ch.status.stale_tasks == []  # the beat refreshed last_seen
+        ch.clock.advance(5.1)
+        ch.pump()
+        assert ch.status.stale_tasks == ["slow"]
+        assert "1 stale (slow)" in ch.status.status_line("progress")
+        ch.clock.advance(10.0)
+        ch.pump()
+        assert ch.status.stale_tasks == ["slow"]  # flagged once, not per pump
 
     def test_done_tasks_never_go_stale(self):
-        monitor, clock = self._monitor(stale_after=5.0)
-        monitor.queue.put(_event("started", "quick", clock.now, attempt=0))
-        monitor.queue.put(_event("finished", "quick", clock.now))
-        monitor.pump()
-        clock.advance(60.0)
-        monitor.pump()
-        assert monitor.stale_tasks == []
+        ch = Channel(stale_after=5.0)
+        ch.put("task_started", "quick", attempt=0)
+        ch.put("task_finished", "quick")
+        ch.pump()
+        ch.clock.advance(60.0)
+        ch.pump()
+        assert ch.status.stale_tasks == []
 
     def test_render_is_throttled_and_change_only(self):
         stream = io.StringIO()
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(
-            2, stream=stream, stale_after=60.0, throttle=1.0, clock=clock
-        )
-        monitor.attach_queue(queue.Queue())
-        monitor.queue.put(_event("started", "a", clock.now, attempt=0))
-        monitor.pump()
-        clock.advance(0.1)
-        monitor.pump()  # inside the throttle window: no second line
+        ch = Channel(total=2, stream=stream, stale_after=60.0, throttle=1.0)
+        ch.put("task_started", "a", attempt=0)
+        ch.pump()
+        ch.clock.advance(0.1)
+        ch.pump()  # inside the throttle window: no second line
         assert stream.getvalue().count("progress:") == 1
-        clock.advance(2.0)
-        monitor.pump()  # outside the window but the line is unchanged
+        ch.clock.advance(2.0)
+        ch.pump()  # outside the window but the line is unchanged
         assert stream.getvalue().count("progress:") == 1
-        monitor.queue.put(_event("finished", "a", clock.now))
-        clock.advance(2.0)
-        monitor.pump()
+        ch.put("task_finished", "a")
+        ch.clock.advance(2.0)
+        ch.pump()
         assert stream.getvalue().count("progress:") == 2
 
     def test_malformed_event_is_ignored(self):
-        monitor, _clock = self._monitor()
-        monitor.queue.put("not-an-event")
-        monitor.queue.put(("started",))
-        monitor.pump()  # must not raise
-        assert monitor.running == 0
+        ch = Channel()
+        ch.queue.put("not-an-event")
+        ch.queue.put({"type": "task_started"})  # no schema_version
+        ch.pump()  # must not raise
+        assert ch.status.running == 0
+        assert ch.status.counts == {"suite_started": 1}
 
     def test_closed_stream_does_not_raise(self):
         stream = io.StringIO()
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(1, stream=stream, throttle=0.0, clock=clock)
+        ch = Channel(total=1, stream=stream)
         stream.close()
-        monitor.queue = queue.Queue()
-        monitor.queue.put(_event("started", "a", clock.now, attempt=0))
-        monitor.pump()
+        ch.put("task_started", "a", attempt=0)
+        ch.pump()
 
 
 class TestStreamRewrite:
@@ -230,49 +253,40 @@ class TestStreamRewrite:
         monkeypatch.setenv("TERM", "xterm-256color")
         stream = FakeTTY()
         assert stream_supports_rewrite(stream)
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(2, stream=stream, throttle=0.0,
-                                   clock=clock)
-        monitor.attach_queue(queue.Queue())
-        monitor.queue.put(_event("started", "a", clock.now, attempt=0))
-        monitor.pump()
-        clock.advance(1.0)
-        monitor.queue.put(_event("finished", "a", clock.now))
-        monitor.pump()
+        ch = Channel(total=2, stream=stream)
+        ch.put("task_started", "a", attempt=0)
+        ch.pump()
+        ch.clock.advance(1.0)
+        ch.put("task_finished", "a")
+        ch.pump()
         out = stream.getvalue()
         assert out.startswith("\r")
         assert out.count("\r") == 2  # rewritten in place, not stacked
         assert "\n" not in out  # the newline belongs to close()
-        monitor.close()
+        ch.status.close()
         assert stream.getvalue().endswith("\n")
 
     def test_rewrite_pads_over_longer_previous_line(self, monkeypatch):
         monkeypatch.delenv("NO_COLOR", raising=False)
         monkeypatch.setenv("TERM", "xterm")
         stream = FakeTTY()
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(2, stream=stream, throttle=0.0,
-                                   clock=clock)
-        monitor.attach_queue(queue.Queue())
-        monitor._line_width = 0
-        monitor._render(force=True)
-        first_len = len(monitor._last_line)
-        monitor._last_line = ""  # force a re-render of a shorter line
-        monitor._line_width = first_len + 20
-        monitor._render(force=True)
+        status = Channel(total=2, stream=stream).status
+        status._line_width = 0
+        status._render(force=True)
+        first_len = len(status._last_line)
+        status._last_line = ""  # force a re-render of a shorter line
+        status._line_width = first_len + 20
+        status._render(force=True)
         chunks = stream.getvalue().split("\r")
         assert len(chunks[-1]) >= first_len + 20  # blank-padded residue
 
     def test_non_tty_gets_newline_lines(self):
         stream = io.StringIO()  # isatty() is False
         assert not stream_supports_rewrite(stream)
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(1, stream=stream, throttle=0.0,
-                                   clock=clock)
-        monitor.attach_queue(queue.Queue())
-        monitor.queue.put(_event("started", "a", clock.now, attempt=0))
-        monitor.pump()
-        monitor.close()
+        ch = Channel(total=1, stream=stream)
+        ch.put("task_started", "a", attempt=0)
+        ch.pump()
+        ch.status.close()
         out = stream.getvalue()
         assert "\r" not in out
         assert all(line.startswith("progress:")
@@ -299,65 +313,60 @@ class TestStreamRewrite:
         # Throttling suppressed every intermediate render; the final
         # summary line must still appear so logs record the outcome.
         stream = io.StringIO()
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(1, stream=stream, throttle=1e9,
-                                   clock=clock)
-        monitor.attach_queue(queue.Queue())
-        monitor.queue.put(_event("started", "a", clock.now, attempt=0))
-        monitor.queue.put(_event("finished", "a", clock.now))
-        monitor.pump()
-        monitor.pump()
-        monitor.close()
+        ch = Channel(total=1, stream=stream, throttle=1e9)
+        ch.put("task_started", "a", attempt=0)
+        ch.put("task_finished", "a")
+        ch.pump()
+        ch.pump()
+        ch.status.close()
         out = stream.getvalue()
         assert "1/1 done" in out
 
 
 class TestMonitorSink:
     def test_sink_sees_every_drained_event(self):
-        monitor, clock = TestHeartbeatMonitor()._monitor()
+        # Every drained worker event reaches bus subscribers, in order,
+        # sequenced by the parent bus.
+        ch = Channel()
         seen = []
-        monitor.sink = seen.append
-        started = _event("started", "a", clock.now, attempt=0)
-        finished = _event("finished", "a", clock.now)
-        monitor.queue.put(started)
-        monitor.queue.put(finished)
-        monitor.pump()
-        assert seen == [started, finished]
+        ch.bus.subscribe(seen.append)
+        ch.put("task_started", "cfg/a", attempt=0)
+        ch.put("task_finished", "cfg/a", attempt=0)
+        ch.pump()
+        assert [(e.type, e.label, e.pid) for e in seen] == [
+            ("task_started", "cfg/a", 12345),
+            ("task_finished", "cfg/a", 12345),
+        ]
+        assert seen[0].seq < seen[1].seq
 
     def test_sink_failure_never_breaks_the_pump(self):
-        monitor, clock = TestHeartbeatMonitor()._monitor()
+        # A failing subscriber never breaks the drain loop.
+        ch = Channel()
 
         def explode(event):
-            raise RuntimeError("sink bug")
+            raise RuntimeError("subscriber bug")
 
-        monitor.sink = explode
-        monitor.queue.put(_event("finished", "a", clock.now))
-        monitor.pump()  # must not raise
-        assert monitor.done == 1
-
-    def test_note_shortcuts_bypass_the_sink(self):
-        monitor, _clock = TestHeartbeatMonitor()._monitor()
-        seen = []
-        monitor.sink = seen.append
-        monitor.note_cache_hit("a")
-        monitor.note_quarantined("b")
-        assert seen == []  # parent-side notes have their own publishers
+        ch.bus.subscribe(explode)
+        ch.put("task_finished", "a")
+        ch.put("task_finished", "b")
+        ch.pump()  # must not raise
+        assert ch.status.done == 2
 
 
 class TestCleanShutdown:
     def test_close_tolerates_dead_queue_and_closed_stream(self):
         stream = io.StringIO()
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(1, stream=stream, throttle=0.0,
-                                   clock=clock)
+        status = StatusAggregator(stream=stream, throttle=0.0,
+                                  clock=FakeClock())
 
         class DeadQueue:
             def get_nowait(self):
                 raise ConnectionResetError("manager is gone")
 
-        monitor.attach_queue(DeadQueue())
+        drain = TelemetryDrain(DeadQueue(), EventBus(status=status))
         stream.close()
-        monitor.close()  # must not raise
+        drain.close()  # must not raise
+        status.close()
 
     def test_sigint_mid_suite_exits_without_tracebacks(self, tmp_path):
         """A parent killed mid-``run_suite`` must shut the Manager queue
@@ -444,18 +453,24 @@ class TestRunSuiteProgress:
         assert stream.getvalue() == ""
 
     def test_stale_flags_fold_into_fault_report(self):
-        """Deterministic fold check: a monitor that has flagged stale
-        tasks contributes them to the FaultReport as advisory fields."""
+        """Deterministic fold check: a task the bus's aggregator flags as
+        stale during the dispatch lands in the FaultReport as advisory
+        fields."""
         from repro.analysis.parallel import run_tasks_parallel
 
         clock = FakeClock()
-        monitor = HeartbeatMonitor(
-            1, stream=None, stale_after=60.0, throttle=0.0, clock=clock
-        )
-        monitor.stale_tasks.append("next_line/hb_wl")
+        status = StatusAggregator(stale_after=60.0, clock=clock)
+        bus = EventBus(status=status)
+
+        def go_silent(event):
+            # The worker "goes silent" for 100s right after starting.
+            if event.type == "task_started":
+                clock.advance(100.0)
+                status.tick()
+
+        bus.subscribe(go_silent)
         outcome = run_tasks_parallel(
-            [SPEC], ["next_line"], jobs=1, cache=None,
-            monitor=monitor,
+            [SPEC], ["next_line"], jobs=1, cache=None, bus=bus,
         )
         report = outcome.report
         assert report.heartbeat_stale == 1

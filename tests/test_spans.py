@@ -1,17 +1,17 @@
 """Tests for suite-level span tracing (repro.obs.spans + chrometrace).
 
 Covers the span recorder and its process-wide slot, the worker-side
-stage bridge, cross-process batch pickling, clock-offset normalization,
-Chrome trace-event rendering, and the end-to-end contract: a traced
-parallel ``run_suite`` writes a valid merged trace containing spans from
-multiple worker pids, and a fault-injected run still produces a
-well-formed trace whose error-tagged spans match the ``FaultReport``.
+stage bridge, the bus-subscribed collector (``span`` events, lanes,
+clock-offset normalization of worker spans), Chrome trace-event
+rendering, and the end-to-end contract: a traced parallel ``run_suite``
+writes a valid merged trace containing spans from multiple worker pids,
+and a fault-injected run still produces a well-formed trace whose
+error-tagged spans match the ``FaultReport``.
 """
 
 import io
 import json
 import os
-import pickle
 import time
 
 import pytest
@@ -19,9 +19,9 @@ import pytest
 from repro.analysis.experiments import run_suite
 from repro.analysis.parallel import FaultInjector, RetryPolicy
 from repro.obs.chrometrace import to_chrome_trace, write_chrome_trace
+from repro.obs.events import EventBus, EventObserver, make_event, span_payload
 from repro.obs.spans import (
     Span,
-    SpanBatch,
     SpanRecorder,
     SpanStages,
     SuiteSpanCollector,
@@ -76,17 +76,6 @@ class TestSpanRecorder:
         (s,) = recorder.spans
         assert s.status == "error"
         assert "ValueError: boom" in s.args["error"]
-
-    def test_batch_is_picklable_snapshot(self):
-        recorder = SpanRecorder(role="worker")
-        recorder.add("a", 1.0, 2.0)
-        batch = recorder.batch()
-        recorder.add("b", 2.0, 3.0)  # after the snapshot
-        clone = pickle.loads(pickle.dumps(batch))
-        assert isinstance(clone, SpanBatch)
-        assert clone.pid == os.getpid()
-        assert clone.role == "worker"
-        assert [s.name for s in clone.spans] == ["a"]
 
     def test_shifted(self):
         s = Span(name="x", start=5.0, end=6.0)
@@ -172,7 +161,7 @@ class TestSpanStages:
 
 class TestNormalizeBatch:
     def _batch(self, spans):
-        return SpanBatch(pid=123, role="worker", spans=spans, sent_at=100.0)
+        return spans
 
     def test_empty(self):
         assert normalize_batch(self._batch([]), 0.0, 1.0) == ([], 0.0)
@@ -248,14 +237,31 @@ class TestChromeTrace:
         assert json.loads(buffer.getvalue())["traceEvents"]
 
 
+def _traced_bus(recorder):
+    """A tracing bus with a collector subscribed, plus its observer."""
+    bus = EventBus()
+    bus.tracing = True
+    collector = SuiteSpanCollector(recorder)
+    bus.subscribe(collector.handle)
+    return bus, collector, EventObserver(bus)
+
+
+def _worker_span(bus, label, attempt, pid, name, start, end):
+    """Publish a span as if it arrived from worker ``pid``."""
+    bus.publish(make_event(
+        "span", label=label, attempt=attempt, pid=pid,
+        payload=span_payload(name, "worker", start, end),
+    ))
+
+
 class TestSuiteSpanCollector:
     def test_attempt_lifecycle_and_task_summary(self):
         recorder = SpanRecorder()
-        collector = SuiteSpanCollector(recorder)
-        collector.attempt_started("no/w", 0)
-        collector.attempt_finished("no/w", 0, False, "RuntimeError: injected")
-        collector.attempt_started("no/w", 1)
-        collector.attempt_finished("no/w", 1, True)
+        _bus, collector, observer = _traced_bus(recorder)
+        observer.attempt_started("no/w", 0)
+        observer.attempt_finished("no/w", 0, False, "RuntimeError: injected")
+        observer.attempt_started("no/w", 1)
+        observer.attempt_finished("no/w", 1, True)
         collector.finish()
         by_name = {}
         for s in recorder.spans:
@@ -275,49 +281,67 @@ class TestSuiteSpanCollector:
 
     def test_failed_every_attempt_yields_error_task_span(self):
         recorder = SpanRecorder()
-        collector = SuiteSpanCollector(recorder)
-        collector.attempt_started("cfg/w", 0)
-        collector.attempt_finished("cfg/w", 0, False, "timed out")
+        _bus, collector, observer = _traced_bus(recorder)
+        observer.attempt_started("cfg/w", 0)
+        observer.attempt_finished("cfg/w", 0, False, "timed out")
         collector.finish()
         task = [s for s in recorder.spans if s.name == "task"][0]
         assert task.status == "error"
 
     def test_add_batch_normalizes_against_attempt_window(self):
         recorder = SpanRecorder()
-        collector = SuiteSpanCollector(recorder)
-        collector.attempt_started("cfg/w", 0)
+        bus, collector, observer = _traced_bus(recorder)
+        observer.attempt_started("cfg/w", 0)
         time.sleep(0.01)
-        collector.attempt_finished("cfg/w", 0, True)
-        window_start, window_end = collector._windows["cfg/w"]
+        observer.attempt_finished("cfg/w", 0, True)
+        _attempt, window_start, _window_end = collector._windows["cfg/w"]
         # A worker whose clock runs a year behind.
         skew = -365 * 24 * 3600.0
-        batch = SpanBatch(
-            pid=777, role="worker",
-            spans=[Span(name="attempt", cat="worker",
-                        start=window_start + skew,
-                        end=window_start + skew + 0.005, pid=777)],
-            sent_at=window_end + skew,
-        )
-        collector.add_batch(batch, "cfg/w")
+        _worker_span(bus, "cfg/w", 0, 777, "attempt",
+                     window_start + skew, window_start + skew + 0.005)
+        collector.finish()
         assert collector.clock_offsets[777] == pytest.approx(-skew)
         merged = [s for s in recorder.spans if s.pid == 777]
         assert merged[0].start >= window_start
 
+    def test_spans_of_unaccepted_attempts_are_dropped(self):
+        # Attempt 0 timed out but its worker finished late; only the
+        # accepted attempt 1's spans belong in the trace.
+        recorder = SpanRecorder()
+        bus, collector, observer = _traced_bus(recorder)
+        observer.attempt_started("cfg/w", 0)
+        observer.attempt_finished("cfg/w", 0, False, "timed out")
+        observer.attempt_started("cfg/w", 1)
+        observer.attempt_finished("cfg/w", 1, True)
+        now = time.time()
+        _worker_span(bus, "cfg/w", 0, 777, "late", now, now + 0.001)
+        _worker_span(bus, "cfg/w", 1, 778, "kept", now, now + 0.001)
+        collector.finish()
+        assert [s.name for s in recorder.spans if s.cat == "worker"] == [
+            "kept"
+        ]
+        assert set(collector.process_names()) == {recorder.pid, 778}
+
     def test_cache_lookup_and_process_names(self):
         recorder = SpanRecorder(role="suite")
-        collector = SuiteSpanCollector(recorder)
-        collector.cache_lookup("cfg/w", True, 1.0, 1.001)
-        collector.add_batch(
-            SpanBatch(pid=999, role="worker", spans=[
-                Span(name="x", start=1.0, end=1.1, pid=999)
-            ], sent_at=1.1),
-            "cfg/w",
-        )
+        bus, collector, observer = _traced_bus(recorder)
+        bus.emit("span", label="cfg/w", payload=span_payload(
+            "cache_lookup", "cache", 1.0, 1.001,
+            args={"label": "cfg/w", "hit": True},
+        ))
+        observer.attempt_started("cfg/x", 0)
+        observer.attempt_finished("cfg/x", 0, True)
+        now = time.time()
+        _worker_span(bus, "cfg/x", 0, 999, "x", now, now + 0.1)
+        collector.finish()
         names = collector.process_names()
         assert names[recorder.pid].startswith("suite")
         assert names[999].startswith("worker")
         lookups = [s for s in recorder.spans if s.name == "cache_lookup"]
         assert lookups and lookups[0].args["hit"] is True
+        cached = [s for s in recorder.spans
+                  if s.name == "task" and s.args["label"] == "cfg/w"]
+        assert cached and cached[0].args["cached"] is True
 
 
 def _load_trace(path):
@@ -445,22 +469,6 @@ class TestRunSuiteTracing:
         }
         assert set(tasks) == {f.label for f in faults.quarantined}
         assert all(e["args"]["status"] == "error" for e in tasks.values())
-
-    def test_spans_never_reach_the_run_cache(self):
-        from repro.analysis.runcache import RunCache
-
-        cache = RunCache()
-        evaluation = run_suite(
-            SUITE[:1], ["next_line"], include_baseline=False, jobs=1,
-            cache=cache,
-            trace_path=os.devnull,
-        )
-        assert evaluation.is_complete()
-        for result in cache._mem.values():
-            assert result.spans is None
-        for per_workload in evaluation.runs.values():
-            for result in per_workload.values():
-                assert result.spans is None
 
     def test_fault_injector_fraction_one_selects_everything(self):
         injector = FaultInjector(mode="crash", fraction=1.0)
