@@ -51,32 +51,33 @@ class FetchUnit:
 def build_fetch_units(trace: Trace, line_size: int = 64) -> List[FetchUnit]:
     """Split a trace into fetch units (see :class:`FetchUnit`)."""
     units: List[FetchUnit] = []
+    append = units.append
     current_line: Optional[int] = None
     count = 0
     data: List[Tuple[int, bool]] = []
 
-    def flush(branch: Optional[Tuple[int, BranchType, bool, int]]) -> None:
-        nonlocal count, data, current_line
-        if current_line is None or count == 0:
-            return
-        units.append(FetchUnit(current_line, count, branch, tuple(data)))
-        count = 0
-        data = []
-
-    for inst in trace:
-        line = inst.pc // line_size
-        if current_line is None:
-            current_line = line
-        elif line != current_line:
-            flush(None)
+    for pc, _size, branch_type, taken, target, is_load, is_store, data_addr in (
+        trace.instructions
+    ):
+        line = pc // line_size
+        if line != current_line:
+            # count > 0 whenever current_line is set: close that unit.
+            if count:
+                append(FetchUnit(current_line, count, None, tuple(data)))
+                count = 0
+                data = []
             current_line = line
         count += 1
-        if inst.is_load or inst.is_store:
-            data.append((inst.data_addr // line_size, inst.is_store))
-        if inst.is_branch:
-            flush((inst.pc, inst.branch_type, inst.taken, inst.target))
+        if is_load or is_store:
+            data.append((data_addr // line_size, is_store))
+        if branch_type:  # BranchType.NOT_BRANCH is 0
+            branch = (pc, branch_type, taken, target)
+            append(FetchUnit(current_line, count, branch, tuple(data)))
+            count = 0
+            data = []
             current_line = None
-    flush(None)
+    if count:
+        append(FetchUnit(current_line, count, None, tuple(data)))
     return units
 
 

@@ -27,7 +27,7 @@ from repro.check.errors import TraceHeaderError
 from repro.workloads.champsim import read_champsim_trace
 from repro.workloads.convert import read_text_trace
 from repro.workloads.generators import WorkloadSpec
-from repro.workloads.trace import Trace, read_trace
+from repro.workloads.trace import Trace, read_trace, read_trace_header
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -91,6 +91,19 @@ def detect_trace_format(path: PathLike) -> str:
     return "champsim"
 
 
+def _reject_gzipped_binary(path: str) -> None:
+    """Native traces are self-compressed; a gzip layer around one is an error."""
+    with open(path, "rb") as fh:
+        wrapped = fh.read(2) == _GZIP_MAGIC
+    if wrapped:
+        raise TraceHeaderError(
+            f"{path}: externally gzipped native trace (the binary "
+            f"format is already compressed — gunzip the file first)",
+            path=path,
+            offset=0,
+        )
+
+
 def load_external_trace(
     path: PathLike,
     name: Optional[str] = None,
@@ -126,15 +139,7 @@ def load_external_trace(
     if fmt not in FORMATS:
         raise ValueError(f"unknown trace format {fmt!r} (choose from {FORMATS})")
     if fmt == "binary":
-        with open(path, "rb") as fh:
-            wrapped = fh.read(2) == _GZIP_MAGIC
-        if wrapped:
-            raise TraceHeaderError(
-                f"{path}: externally gzipped native trace (the binary "
-                f"format is already compressed — gunzip the file first)",
-                path=path,
-                offset=0,
-            )
+        _reject_gzipped_binary(path)
         trace = read_trace(path, salvage=salvage)
         if name is not None:
             trace.name = name
@@ -167,15 +172,31 @@ def file_workload_spec(
 ) -> WorkloadSpec:
     """Wrap a trace file into a :class:`WorkloadSpec`.
 
-    The trace is loaded once to size the spec (``n_instructions`` drives
-    warmup resolution downstream), then re-loaded on demand by
+    The spec is sized here (``n_instructions`` drives warmup resolution
+    downstream) and the records are decoded on demand by
     ``make_workload`` — suites and parallel workers only pickle the
-    lightweight spec.  The path is stored absolute so workers resolve it
-    regardless of their working directory.
+    lightweight spec.  A native binary file is sized from its header
+    alone: its name, category and record count are read and its checksum
+    verified, but nothing is decompressed or decoded, so a record that is
+    invalid behind a valid checksum fails when ``make_workload`` decodes
+    it (``run_suite`` quarantines those pairs).  Text and ChampSim files
+    only know their length once decoded, so they are loaded here.  The
+    path is stored absolute so workers resolve it regardless of their
+    working directory.
     """
     path = os.path.abspath(os.fspath(path))
-    trace = load_external_trace(path, name=name, category=category)
-    length = len(trace)
+    fmt = detect_trace_format(path)
+    if fmt == "binary":
+        _reject_gzipped_binary(path)
+        header = read_trace_header(path)
+        stored_name, stored_category, length = (
+            header.name, header.category, header.count
+        )
+    else:
+        trace = load_external_trace(path, name=name, category=category, fmt=fmt)
+        stored_name, stored_category, length = (
+            trace.name, trace.category, len(trace)
+        )
     if n_instructions is not None:
         length = min(length, n_instructions)
     if length == 0:
@@ -183,8 +204,8 @@ def file_workload_spec(
             f"{path}: trace file holds no instructions", path=path, offset=0
         )
     return WorkloadSpec(
-        name=name or trace.name,
-        category=category or trace.category,
+        name=name or stored_name,
+        category=category or stored_category,
         seed=seed,
         n_instructions=length,
         trace_file=path,

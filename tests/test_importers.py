@@ -12,12 +12,16 @@ and parallel suite paths — the ISSUE 8 satellite.
 import gzip
 import os
 import pathlib
+import struct
+import zlib
 
 import pytest
 
 from repro.analysis.experiments import run_suite
-from repro.check.errors import TraceError, TraceHeaderError
+from repro.check.errors import TraceCRCError, TraceError, TraceHeaderError
 from repro.cli import main
+from repro.workloads import importers
+from repro.workloads import trace as trace_module
 from repro.workloads.champsim import write_champsim_trace
 from repro.workloads.convert import write_text_trace
 from repro.workloads.generators import WorkloadSpec, make_workload
@@ -28,7 +32,7 @@ from repro.workloads.importers import (
     load_external_trace,
     trace_file_suite,
 )
-from repro.workloads.trace import write_trace
+from repro.workloads.trace import read_trace_header, write_trace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden.champsimtrace.gz")
 
@@ -37,6 +41,19 @@ def _trace(n=2000, seed=5, category="int", name="imp"):
     return make_workload(
         WorkloadSpec(name=name, category=category, seed=seed, n_instructions=n)
     )
+
+
+def _damage_record_behind_crc(path, index):
+    """Set the reserved flag bit of record ``index`` in an uncompressed
+    native trace and recompute the checksum, so only record validation
+    can tell."""
+    header = read_trace_header(path)
+    data = bytearray(open(path, "rb").read())
+    data[header.payload_offset + 30 * index + 12] |= 0x80
+    crc_at = header.payload_offset - 4
+    crc = zlib.crc32(data[header.payload_offset:], zlib.crc32(data[4:crc_at]))
+    data[crc_at:header.payload_offset] = struct.pack("<I", crc)
+    open(path, "wb").write(bytes(data))
 
 
 @pytest.fixture()
@@ -136,6 +153,29 @@ class TestSpecPlumbing:
         assert spec.n_instructions == 500
         assert len(make_workload(spec)) == 500
 
+    def test_binary_spec_is_sized_from_the_header(self, all_formats, monkeypatch):
+        trace, paths = all_formats
+
+        def decode(*_args, **_kwargs):
+            raise AssertionError("sizing a native trace decoded its records")
+
+        monkeypatch.setattr(importers, "read_trace", decode)
+        monkeypatch.setattr(importers, "load_external_trace", decode)
+        monkeypatch.setattr(trace_module, "read_trace", decode)
+        spec = file_workload_spec(paths["binary"])
+        assert spec.n_instructions == len(trace)
+        assert spec.name == trace.name
+        assert spec.category == trace.category
+
+    def test_binary_spec_verifies_the_checksum(self, all_formats, tmp_path):
+        _t, paths = all_formats
+        data = bytearray(open(paths["binary"], "rb").read())
+        data[-5] ^= 0x01  # inside the compressed record block
+        flipped = str(tmp_path / "flipped.trc")
+        open(flipped, "wb").write(bytes(data))
+        with pytest.raises(TraceCRCError):
+            file_workload_spec(flipped)
+
     def test_trace_file_suite(self, all_formats):
         _t, paths = all_formats
         specs = trace_file_suite(
@@ -154,7 +194,10 @@ class TestSpecPlumbing:
 
 
 class TestQuarantine:
-    """A malformed text trace must quarantine, not kill the suite."""
+    """A malformed text trace, or a native trace with an invalid record
+    behind a valid checksum (its spec is sized from the header, so the
+    damage surfaces when the records are decoded), must quarantine, not
+    kill the suite."""
 
     @pytest.fixture()
     def mixed_specs(self, tmp_path):
@@ -163,12 +206,16 @@ class TestQuarantine:
         write_trace(good, good_path)
         bad_path = str(tmp_path / "bad.txt")
         open(bad_path, "w").write("0x400000\nnot-a-pc\n")
+        damaged_path = str(tmp_path / "damaged.trc")
+        write_trace(_trace(1500, name="damaged"), damaged_path, compress=False)
+        _damage_record_behind_crc(damaged_path, 700)
         return [
             file_workload_spec(good_path, name="good"),
             WorkloadSpec(
                 name="bad", category="unknown", seed=0,
                 n_instructions=1000, trace_file=bad_path,
             ),
+            file_workload_spec(damaged_path, name="damaged"),
         ]
 
     def test_serial_quarantine(self, mixed_specs):
@@ -177,10 +224,13 @@ class TestQuarantine:
         )
         assert "good" in evaluation.runs["next_line"]
         assert "bad" not in evaluation.runs["next_line"]
+        assert "damaged" not in evaluation.runs["next_line"]
         assert evaluation.faults is not None
-        [failure] = evaluation.faults.quarantined
-        assert "bad" in failure.label
-        assert "TraceParseError" in failure.error
+        bad, damaged = evaluation.faults.quarantined
+        assert "bad" in bad.label
+        assert "TraceParseError" in bad.error
+        assert "damaged" in damaged.label
+        assert "TraceRecordError" in damaged.error
 
     def test_parallel_quarantine(self, mixed_specs):
         evaluation = run_suite(
@@ -188,7 +238,9 @@ class TestQuarantine:
         )
         assert "good" in evaluation.runs["next_line"]
         assert evaluation.faults is not None
-        assert any("bad" in f.label for f in evaluation.faults.quarantined)
+        labels = [f.label for f in evaluation.faults.quarantined]
+        assert any("bad" in label for label in labels)
+        assert any("damaged" in label for label in labels)
 
 
 class TestCli:

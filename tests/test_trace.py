@@ -1,7 +1,10 @@
 """Tests for the instruction-trace representation and file IO."""
 
+import hashlib
+
 import pytest
 
+from repro.workloads.generators import WorkloadSpec, make_workload
 from repro.workloads.trace import (
     BranchType,
     Instruction,
@@ -172,3 +175,41 @@ class TestTraceIO:
         )
         loaded = self._roundtrip(Trace("big", [inst]), tmp_path)
         assert loaded[0] == inst
+
+
+#: SHA-256 of ``write_trace(make_workload(spec))`` for one small spec per
+#: workload family.  Any change to a generator, the record type or the
+#: writer that alters a trace's bytes fails here; a deliberate change
+#: re-pins these digests.
+PINNED_TRACE_DIGESTS = {
+    WorkloadSpec(name="pin_crypto", category="crypto", seed=11, n_instructions=3000):
+        "0403be3bc7b81102080865ad47143c13fc4563ed4e8714970f09ef5eaceed7ee",
+    WorkloadSpec(name="pin_int", category="int", seed=12, n_instructions=3000):
+        "456d3ab929ed6eaa0749a80b045e4a8932e80df52602dec2f5c3af8bdf576fd0",
+    WorkloadSpec(name="pin_fp", category="fp", seed=13, n_instructions=3000):
+        "203b4d43e160a5bb7dabf992a77fb6901855c9b964a9aa866e58df0d3d56b6d9",
+    WorkloadSpec(name="pin_srv", category="srv", seed=14, n_instructions=3000):
+        "a8a063ac527d6624b14e98af814bbbf581aee59dff796473dd5f8b7dd3e2eaf3",
+    WorkloadSpec(
+        name="pin_social", category="microservice", seed=15,
+        n_instructions=3000, tenants=("social",),
+    ): "ddc6d23bca77b037770cdaf96820f294d806c15008ee66e4279b8ab918dee338",
+    WorkloadSpec(
+        name="pin_mix2", category="microservice", seed=16,
+        n_instructions=4000, tenants=("social", "search"),
+    ): "3bf448d55c1ade5fcdbefb945b54dc6e64c2b5e9d5cd3d84e116f99175c09c9d",
+}
+
+
+def test_generated_trace_bytes_are_pinned(tmp_path):
+    digests = {}
+    for spec in PINNED_TRACE_DIGESTS:
+        path = str(tmp_path / f"{spec.name}.trc")
+        write_trace(make_workload(spec), path)
+        with open(path, "rb") as fh:
+            digests[spec] = hashlib.sha256(fh.read()).hexdigest()
+    changed = [
+        spec.name for spec, digest in PINNED_TRACE_DIGESTS.items()
+        if digests[spec] != digest
+    ]
+    assert not changed, f"trace bytes changed for {changed}"

@@ -21,6 +21,7 @@ import zlib
 import pytest
 
 from repro.check.errors import TraceError
+from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     BranchType,
     Instruction,
@@ -31,6 +32,29 @@ from repro.workloads.trace import (
 
 SEED = 0x5EED
 RECORD_SIZE = struct.Struct("<QIBBQQ").size  # 30 bytes
+
+#: (field overrides, diagnosis) for one damaged record.  The damage sits
+#: at record 17 unless an ``index`` entry moves it (-1: the last record).
+#: Between them the cases hit every byte column the bulk validator
+#: checks, at the first illegal value past each legal range.
+BAD_FIELDS = [
+    ({"flags": 0x80}, "reserved flag"),
+    ({"flags": 0x0F}, "branch type"),
+    ({"size": 0}, "size 0 out of range"),
+    ({"size": 6000}, "size 6000 out of range"),
+    ({"pc": 1 << 63}, "exceeds the 62-bit"),
+    ({"data_addr": (1 << 62) + 4}, "exceeds the 62-bit"),
+    ({"size": 65}, "size 65 out of range"),
+    ({"size": 0x100}, "size 256 out of range"),
+    ({"size": 0x101}, "size 257 out of range"),
+    ({"size": 0x1000001}, "size 16777217 out of range"),
+    ({"flags": 0x07}, "branch type 7 out of range"),
+    ({"pc": 1 << 62}, "pc 0x4000000000000000 exceeds the 62-bit"),
+    ({"target": 1 << 62}, "target 0x4000000000000000 exceeds the 62-bit"),
+    ({"data_addr": 1 << 62}, "data_addr 0x4000000000000000 exceeds the 62-bit"),
+    ({"index": 0, "flags": 0x80}, "reserved flag"),
+    ({"index": -1, "size": 65}, "size 65 out of range"),
+]
 
 
 def _base_instructions():
@@ -203,35 +227,59 @@ class TestTargetedRecordCorruption:
         crc = zlib.crc32(payload, zlib.crc32(header_tail))
         return b"EPTR" + header_tail + struct.pack("<I", crc) + payload
 
-    @pytest.mark.parametrize(
-        "overrides, reason_fragment",
-        [
-            ({"flags": 0x80}, "reserved flag"),
-            ({"flags": 0x0F}, "branch type"),
-            ({"size": 0}, "size 0 out of range"),
-            ({"size": 6000}, "size 6000 out of range"),
-            ({"pc": 1 << 63}, "exceeds the 62-bit"),
-            ({"data_addr": (1 << 62) + 4}, "exceeds the 62-bit"),
-        ],
-    )
+    @pytest.mark.parametrize("overrides, reason_fragment", BAD_FIELDS)
     def test_bad_field_is_diagnosed(self, tmp_path, overrides, reason_fragment):
         insts = _base_instructions()
-        data = self._corrupt_record(insts, 17, **overrides)
+        overrides = dict(overrides)
+        index = overrides.pop("index", 17) % len(insts)
+        data = self._corrupt_record(insts, index, **overrides)
         path = str(tmp_path / "bad_field.trace")
         open(path, "wb").write(data)
         with pytest.raises(TraceError, match=reason_fragment) as excinfo:
             read_trace(path)
-        assert excinfo.value.record_index == 17
-        assert excinfo.value.offset == 17 * RECORD_SIZE
-        assert "#17" in str(excinfo.value)
+        assert excinfo.value.record_index == index
+        assert excinfo.value.offset == index * RECORD_SIZE
+        assert f"#{index}" in str(excinfo.value)
 
     def test_salvage_keeps_prefix_before_bad_record(self, tmp_path):
         insts = _base_instructions()
-        data = self._corrupt_record(insts, 17, flags=0x80)
         path = str(tmp_path / "bad_field.trace")
-        open(path, "wb").write(data)
-        trace = read_trace(path, salvage=True)
-        assert trace.instructions == insts[:17]
-        assert trace.salvage is not None
-        assert trace.salvage.recovered == 17
-        assert any("record #17" in r for r in trace.salvage.reasons)
+        for overrides, _reason in BAD_FIELDS:
+            overrides = dict(overrides)
+            index = overrides.pop("index", 17) % len(insts)
+            open(path, "wb").write(self._corrupt_record(insts, index, **overrides))
+            trace = read_trace(path, salvage=True)
+            assert trace.instructions == insts[:index], overrides
+            assert trace.salvage is not None
+            assert trace.salvage.recovered == index
+            assert any(f"record #{index}" in r for r in trace.salvage.reasons)
+
+    def test_legal_extremes_take_the_bulk_path(self, tmp_path, monkeypatch):
+        """Every field at the edge of its legal range passes the column
+        checks, so the per-record loop never runs and the bulk decode
+        returns the records unchanged."""
+        top = (1 << 62) - 1
+        insts = [
+            Instruction(pc=top, size=1, target=top, data_addr=top),
+            Instruction(pc=0, size=64),
+            Instruction(pc=4, branch_type=BranchType.RETURN, taken=True, target=top),
+            Instruction(pc=8, is_load=True, data_addr=top),
+            Instruction(pc=12, is_store=True, data_addr=top),
+            Instruction(
+                pc=top, size=64, branch_type=BranchType.RETURN, taken=True,
+                target=top, is_load=True, is_store=True, data_addr=top,
+            ),
+        ]
+        path = str(tmp_path / "extremes.trace")
+        write_trace(Trace("edge", insts, category="int"), path)
+
+        def per_record_loop(*_args):
+            raise AssertionError("a legal block fell back to the per-record loop")
+
+        monkeypatch.setattr(trace_module, "_decode_record", per_record_loop)
+        loaded = read_trace(path).instructions
+        assert loaded == insts
+        # Same record type and field types (BranchType, bool) as built.
+        assert [(type(i), *map(type, i)) for i in loaded] == [
+            (type(i), *map(type, i)) for i in insts
+        ]
